@@ -92,11 +92,41 @@ def _model_config(manifest: RunManifest, vocab: Vocabulary) -> ModelConfig:
     return ModelConfig(**section)
 
 
-def _train_config(manifest: RunManifest) -> TrainConfig:
+def _max_len(manifest: RunManifest, model_cfg: ModelConfig) -> int:
+    """train.max_len from the config, else the model's max_positions."""
+    max_len = manifest.config.get("train", {}).get("max_len", model_cfg.max_positions)
+    if max_len > model_cfg.max_positions:
+        raise UsageError(
+            f"train.max_len {max_len} exceeds the model's max_positions "
+            f"{model_cfg.max_positions}"
+        )
+    return max_len
+
+
+def _check_vocab_size(vocab: Vocabulary, model_cfg: ModelConfig) -> None:
+    if vocab.size != model_cfg.vocab_size:
+        raise UsageError(
+            f"vocabulary has {vocab.size} tokens but the model expects "
+            f"vocab_size {model_cfg.vocab_size}"
+        )
+
+
+def _train_config(manifest: RunManifest, model_cfg: ModelConfig) -> TrainConfig:
     section = dict(manifest.config.get("train", {}))
     cfg = TrainConfig(**section)
+    cfg.max_len = _max_len(manifest, model_cfg)
     cfg.shuffle_seed = manifest.seed
     return cfg
+
+
+def _load_model(manifest: RunManifest):
+    """Vocabulary and checkpoint, refused unless their sizes agree."""
+    vocab = load_vocabulary(manifest.require("vocab", manifest.vocab_path))
+    params, model_cfg = load_checkpoint(
+        manifest.require("checkpoint", manifest.checkpoint_path)
+    )
+    _check_vocab_size(vocab, model_cfg)
+    return vocab, params, model_cfg
 
 
 def _lime_config(manifest: RunManifest) -> LimeConfig:
@@ -161,7 +191,8 @@ def cmd_train(manifest: RunManifest) -> int:
     vocab = load_vocabulary(manifest.require("vocab", manifest.vocab_path))
     loaded, balanced, parts = _prepare_partitions(manifest)
     model_cfg = _model_config(manifest, vocab)
-    train_cfg = _train_config(manifest)
+    _check_vocab_size(vocab, model_cfg)
+    train_cfg = _train_config(manifest, model_cfg)
     params = init_parameters(model_cfg, seed=manifest.seed, dtype=_dtype(manifest))
 
     out_dir = Path(manifest.out_dir)
@@ -227,14 +258,11 @@ def cmd_evaluate(manifest: RunManifest) -> int:
         predictions = injected["predictions"]
         labels = injected["labels"]
     else:
-        vocab = load_vocabulary(manifest.require("vocab", manifest.vocab_path))
-        params, _ = load_checkpoint(
-            manifest.require("checkpoint", manifest.checkpoint_path)
-        )
+        vocab, params, model_cfg = _load_model(manifest)
+        train_cfg = _train_config(manifest, model_cfg)
         _, _, parts = _prepare_partitions(manifest)
         if len(parts.test) == 0:
             raise UsageError("test partition is empty; lower train_fraction")
-        train_cfg = _train_config(manifest)
         _, predictions = evaluate(params, parts.test, vocab, train_cfg)
         labels = [r.label for r in parts.test.records]
 
@@ -273,12 +301,9 @@ def _resolve_text(manifest: RunManifest) -> str:
 
 
 def _explain_both(manifest: RunManifest):
-    vocab = load_vocabulary(manifest.require("vocab", manifest.vocab_path))
-    params, model_cfg = load_checkpoint(
-        manifest.require("checkpoint", manifest.checkpoint_path)
-    )
+    vocab, params, model_cfg = _load_model(manifest)
+    max_len = _max_len(manifest, model_cfg)
     text = _resolve_text(manifest)
-    max_len = manifest.config.get("train", {}).get("max_len", model_cfg.max_positions)
 
     def classifier(sample_text: str):
         seq = encode(sample_text, vocab, max_len)

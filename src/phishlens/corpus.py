@@ -8,7 +8,6 @@ matched case-insensitively after trimming; Safe=0, Phishing=1.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,9 +73,6 @@ class LabeledCorpus:
             "dropped_rows": self.dropped_rows,
             "seed": seed,
         }
-
-    def summary_json(self, seed: int | None = None) -> str:
-        return json.dumps(self.summary(seed), indent=2)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ the two embeddings, accumulated with a midpoint Riemann sum. Completeness
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,9 +55,6 @@ class AttributionRecord:
             "predicted_class": self.predicted_class,
             "completeness_gap": self.completeness_gap,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def make_baseline(sequence: TokenSequence, vocab: Vocabulary) -> TokenSequence:
@@ -126,11 +122,6 @@ def integrated_gradients(
     return path_integrate(grad_fn, e[0], e[1], steps)
 
 
-def _target_logit(params, seq: TokenSequence, target: int) -> float:
-    out = forward(params, [seq], train_mode=False)
-    return float(out.logits[0, target])
-
-
 def word_attributions(
     text: str,
     params: ModelParameters,
@@ -142,19 +133,17 @@ def word_attributions(
     if max_len is None:
         max_len = params.config.max_positions
     seq = encode(text, vocab, max_len)
-    out = forward(params, [seq], train_mode=False)
-    predicted = int(out.probabilities[0].argmax())
-
     baseline = make_baseline(seq, vocab)
+    out = forward(params, [seq, baseline], train_mode=False)
+    predicted = int(out.probabilities[0].argmax())
+    logit_gap = float(out.logits[0, predicted] - out.logits[1, predicted])
+
     attribution = integrated_gradients(params, seq, baseline, predicted, cfg.steps)
     per_position = attribution.sum(axis=-1)
 
     n_real = seq.real_length
     raw = per_position[:n_real]
-    gap = abs(
-        float(per_position.sum())
-        - (_target_logit(params, seq, predicted) - _target_logit(params, baseline, predicted))
-    )
+    gap = abs(float(per_position.sum()) - logit_gap)
 
     if cfg.normalize:
         norm = float(np.linalg.norm(raw))

@@ -9,7 +9,6 @@ coefficients are the explanation.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -79,9 +78,6 @@ class LimeExplanation:
             "r2": self.local_fit_r2,
             "features": [{"word": w, "weight": c} for w, c in self.weighted_words],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def build_word_index(text: str) -> WordIndex:

@@ -1,33 +1,15 @@
-"""WordPiece tokenization with special tokens, padding, and truncation.
-
-The greedy matching inner loop lives in a swappable kernel module: the
-compiled extension `phishlens._wordpiece` when built, else the pure-Python
-fallback. Set PHISHLENS_PURE_WORDPIECE=1 to force the fallback.
-"""
+"""WordPiece tokenization with special tokens, padding, and truncation."""
 
 from __future__ import annotations
 
 import json
-import os
+import unicodedata
 from dataclasses import dataclass
-
-if os.environ.get("PHISHLENS_PURE_WORDPIECE"):
-    from . import _wordpiece_py as _kernel
-else:
-    try:
-        from . import _wordpiece as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _wordpiece_py as _kernel
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
 
 MAX_WORD_CHARS = 100
-
-
-def wordpiece_backend() -> str:
-    """Which kernel is active: "compiled" or "pure"."""
-    return _kernel.BACKEND
 
 
 class VocabularyError(ValueError):
@@ -58,10 +40,6 @@ class Vocabulary:
     @property
     def sep_id(self) -> int:
         return self.token_to_id[SEP]
-
-    @property
-    def mask_id(self) -> int:
-        return self.token_to_id[MASK]
 
     def dump_json(self) -> str:
         return json.dumps([{"token": t, "id": i} for i, t in enumerate(self.id_to_token)])
@@ -98,11 +76,85 @@ def load_vocabulary(path: str) -> Vocabulary:
     return Vocabulary(token_to_id=token_to_id, id_to_token=tuple(tokens))
 
 
+def _is_punctuation(ch: str) -> bool:
+    cp = ord(ch)
+    # ASCII non-alphanumerics count as punctuation even when Unicode says
+    # otherwise ($, `, ^ ...), so URLs and code-ish text split predictably.
+    if 33 <= cp <= 47 or 58 <= cp <= 64 or 91 <= cp <= 96 or 123 <= cp <= 126:
+        return True
+    return unicodedata.category(ch).startswith("P")
+
+
+def _is_whitespace(ch: str) -> bool:
+    if ch in (" ", "\t", "\n", "\r"):
+        return True
+    return unicodedata.category(ch) == "Zs"
+
+
+def _is_control(ch: str) -> bool:
+    if ch in ("\t", "\n", "\r"):
+        return False
+    return unicodedata.category(ch).startswith("C")
+
+
+def pretokenize(text: str) -> list[str]:
+    """Lowercase, strip accents, and split into words and standalone punctuation."""
+    text = unicodedata.normalize("NFD", text.lower())
+    tokens: list[str] = []
+    current: list[str] = []
+    for ch in text:
+        if unicodedata.category(ch) == "Mn" or _is_control(ch):
+            continue
+        if _is_whitespace(ch):
+            if current:
+                tokens.append("".join(current))
+                current = []
+        elif _is_punctuation(ch):
+            if current:
+                tokens.append("".join(current))
+                current = []
+            tokens.append(ch)
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+def split_word(word: str, token_to_id: dict, unk_token: str, max_chars: int) -> list[str]:
+    """Greedy longest-prefix-match decomposition of one word.
+
+    Continuation pieces carry the "##" prefix. A word with no full
+    decomposition (or longer than max_chars) collapses to the unknown token.
+    """
+    n = len(word)
+    if n > max_chars:
+        return [unk_token]
+    pieces: list[str] = []
+    start = 0
+    while start < n:
+        end = n
+        found = None
+        while start < end:
+            sub = word[start:end]
+            if start > 0:
+                sub = "##" + sub
+            if sub in token_to_id:
+                found = sub
+                break
+            end -= 1
+        if found is None:
+            return [unk_token]
+        pieces.append(found)
+        start = end
+    return pieces
+
+
 def wordpiece_tokenize(text: str, vocab: Vocabulary) -> list[str]:
     """Lowercase/split text and greedily decompose each word into pieces."""
     pieces: list[str] = []
-    for word in _kernel.pretokenize(text):
-        pieces.extend(_kernel.split_word(word, vocab.token_to_id, UNK, MAX_WORD_CHARS))
+    for word in pretokenize(text):
+        pieces.extend(split_word(word, vocab.token_to_id, UNK, MAX_WORD_CHARS))
     return pieces
 
 
@@ -119,7 +171,3 @@ def encode(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     return TokenSequence(
         input_ids=tuple(ids), attention_mask=tuple(mask), tokens=tuple(tokens)
     )
-
-
-def encode_corpus(texts, vocab: Vocabulary, max_len: int) -> list[TokenSequence]:
-    return [encode(t, vocab, max_len) for t in texts]

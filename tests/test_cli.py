@@ -286,3 +286,89 @@ def test_balance_flags_mutually_exclusive(tmp_path, capsys):
         ]
     )
     assert code == EXIT_USAGE
+
+
+def _inference_args(command, trained, vocab, config, out_dir):
+    args = [
+        command, "--vocab", vocab, "--checkpoint", str(trained / "model.phl"),
+        "--config", config, "--seed", "5", "--out-dir", str(out_dir),
+    ]
+    if command == "evaluate":
+        return args + ["--corpus", CORPUS]
+    return args + ["--text", PHISH_TEXT, "--num-samples", "20", "--steps", "4"]
+
+
+@pytest.mark.parametrize(
+    "command,size",
+    [("evaluate", 223), ("explain", 223), ("compare", 223), ("explain", 150)],
+)
+def test_vocab_size_differs_from_checkpoint_is_usage_error(
+    trained, tmp_path, capsys, command, size
+):
+    base = Path(VOCAB).read_text(encoding="utf-8").splitlines()  # 218 tokens
+    lines = base[:size] + [f"extra{i}" for i in range(size - len(base))]
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(_inference_args(command, trained, str(vocab), CONFIG, tmp_path))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(size) in err and "218" in err
+
+
+def test_train_model_vocab_size_mismatch_is_usage_error(tmp_path, capsys):
+    config = json.loads(Path(CONFIG).read_text())
+    config["model"]["vocab_size"] = 200
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(
+        [
+            "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "218" in err and "200" in err
+
+
+def test_evaluate_without_config_uses_checkpoint_max_positions(trained, tmp_path):
+    code = main(
+        [
+            "evaluate", "--corpus", CORPUS, "--vocab", VOCAB,
+            "--checkpoint", str(trained / "model.phl"), "--seed", "5",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+
+
+def test_train_without_max_len_uses_model_max_positions(tmp_path):
+    config = json.loads(Path(CONFIG).read_text())
+    del config["train"]["max_len"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(
+        [
+            "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+            "--seed", "5", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "explain", "compare"])
+def test_max_len_above_max_positions_is_usage_error(trained, tmp_path, capsys, command):
+    config = json.loads(Path(CONFIG).read_text())
+    config["train"]["max_len"] = 32  # the toy model has 16 positions
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    if command == "train":
+        args = [
+            "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+            "--out-dir", str(tmp_path),
+        ]
+    else:
+        args = _inference_args(command, trained, VOCAB, str(cfg_path), tmp_path)
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "max_len 32" in err and "max_positions 16" in err
