@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 internal error, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,41 +37,11 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
-    command: str
-    corpus_path: str | None = None
-    vocab_path: str | None = None
-    checkpoint_path: str | None = None
-    config_path: str | None = None
-    predictions_path: str | None = None
-    stats_path: str | None = None
-    balance: bool = False
-    balance_after_split: bool = False
-    seed: int = 0
-    out_dir: str = "out"
-    text: str | None = None
-    index: int | None = None
-    steps: int | None = None
-    num_features: int | None = None
-    num_samples: int | None = None
-    config: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for label, path in (
-            ("corpus", self.corpus_path),
-            ("vocabulary", self.vocab_path),
-            ("checkpoint", self.checkpoint_path),
-            ("config", self.config_path),
-            ("predictions", self.predictions_path),
-        ):
-            if path is not None and not Path(path).exists():
-                raise UsageError(f"{label} path does not exist: {path}")
-
-    def require(self, label: str, path: str | None) -> str:
-        if path is None:
-            raise UsageError(f"--{label} is required for '{self.command}'")
-        return path
+def _require(args: argparse.Namespace, kind: str) -> str:
+    path = getattr(args, kind)
+    if path is None:
+        raise UsageError(f"--{kind} is required for '{args.command}'")
+    return path
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -84,17 +54,31 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _model_config(manifest: RunManifest, vocab: Vocabulary) -> ModelConfig:
-    section = dict(manifest.config.get("model", {}))
-    section.setdefault("vocab_size", vocab.size)
+def _from_section(cls, config: dict, name: str, defaults=None, **overrides):
+    """cls built from config section `name`: overrides > section > defaults.
+
+    A section the class rejects (unknown key, bad value) is a usage error.
+    """
+    try:
+        return cls(**{**(defaults or {}), **config.get(name, {}), **overrides})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config section '{name}': {exc}") from exc
+
+
+def _model_config(config: dict, vocab: Vocabulary) -> ModelConfig:
+    section = config.get("model", {})
     if not set(section) - {"vocab_size"}:
-        return ModelConfig.paper_scale(vocab_size=section["vocab_size"])
-    return ModelConfig(**section)
+        return ModelConfig.paper_scale(vocab_size=section.get("vocab_size", vocab.size))
+    return _from_section(ModelConfig, config, "model", {"vocab_size": vocab.size})
 
 
-def _max_len(manifest: RunManifest, model_cfg: ModelConfig) -> int:
+def _max_len(config: dict, model_cfg: ModelConfig) -> int:
     """train.max_len from the config, else the model's max_positions."""
-    max_len = manifest.config.get("train", {}).get("max_len", model_cfg.max_positions)
+    max_len = config.get("train", {}).get("max_len", model_cfg.max_positions)
+    if type(max_len) is not int:
+        raise UsageError(
+            f"config section 'train': max_len must be an int, got {max_len!r}"
+        )
     if max_len > model_cfg.max_positions:
         raise UsageError(
             f"train.max_len {max_len} exceeds the model's max_positions "
@@ -111,50 +95,31 @@ def _check_vocab_size(vocab: Vocabulary, model_cfg: ModelConfig) -> None:
         )
 
 
-def _train_config(manifest: RunManifest, model_cfg: ModelConfig) -> TrainConfig:
-    section = dict(manifest.config.get("train", {}))
-    cfg = TrainConfig(**section)
-    cfg.max_len = _max_len(manifest, model_cfg)
-    cfg.shuffle_seed = manifest.seed
-    return cfg
-
-
-def _load_model(manifest: RunManifest):
-    """Vocabulary and checkpoint, refused unless their sizes agree."""
-    vocab = load_vocabulary(manifest.require("vocab", manifest.vocab_path))
-    params, model_cfg = load_checkpoint(
-        manifest.require("checkpoint", manifest.checkpoint_path)
+def _train_config(
+    args: argparse.Namespace, config: dict, model_cfg: ModelConfig
+) -> TrainConfig:
+    return _from_section(
+        TrainConfig, config, "train",
+        max_len=_max_len(config, model_cfg), shuffle_seed=args.seed,
     )
+
+
+def _load_model(args: argparse.Namespace):
+    """Vocabulary and checkpoint, refused unless their sizes agree."""
+    vocab = load_vocabulary(_require(args, "vocab"))
+    params, model_cfg = load_checkpoint(_require(args, "checkpoint"))
     _check_vocab_size(vocab, model_cfg)
     return vocab, params, model_cfg
 
 
-def _lime_config(manifest: RunManifest) -> LimeConfig:
-    section = dict(manifest.config.get("lime", {}))
-    if manifest.num_features is not None:
-        section["num_features"] = manifest.num_features
-    if manifest.num_samples is not None:
-        section["num_samples"] = manifest.num_samples
-    section.setdefault("seed", manifest.seed)
-    section["class_names"] = CLASS_NAMES
-    return LimeConfig(**section)
-
-
-def _ig_config(manifest: RunManifest) -> IGConfig:
-    section = dict(manifest.config.get("ig", {}))
-    if manifest.steps is not None:
-        section["steps"] = manifest.steps
-    return IGConfig(**section)
-
-
-def _dtype(manifest: RunManifest):
-    name = manifest.config.get("dtype", "float64")
+def _dtype(config: dict):
+    name = config.get("dtype", "float64")
     if name not in ("float32", "float64"):
         raise UsageError(f"dtype must be float32 or float64, got {name}")
     return np.float32 if name == "float32" else np.float64
 
 
-def _prepare_partitions(manifest: RunManifest):
+def _prepare_partitions(args: argparse.Namespace, config: dict):
     """Load, optionally balance, and split.
 
     --balance oversamples before the split (the order the evaluation
@@ -162,24 +127,17 @@ def _prepare_partitions(manifest: RunManifest):
     --balance-after-split oversamples the train partition only, keeping the
     test partition free of duplicated minority records.
     """
-    if manifest.balance and manifest.balance_after_split:
-        raise UsageError("--balance and --balance-after-split are mutually exclusive")
-    loaded = corpus_mod.load_corpus(manifest.require("corpus", manifest.corpus_path))
+    loaded = corpus_mod.load_corpus(_require(args, "corpus"))
     balanced = None
     working = loaded
-    if manifest.balance:
-        working = corpus_mod.oversample_minority(working, seed=manifest.seed)
+    if args.balance:
+        working = corpus_mod.oversample_minority(working, seed=args.seed)
         balanced = working
-    fraction = manifest.config.get("train_fraction", 0.7)
-    parts = corpus_mod.split(working, fraction, seed=manifest.seed)
-    if manifest.balance_after_split:
-        balanced_train = corpus_mod.oversample_minority(parts.train, seed=manifest.seed)
-        parts = corpus_mod.SplitCorpus(
-            train=balanced_train,
-            test=parts.test,
-            train_fraction=parts.train_fraction,
-            seed=parts.seed,
-        )
+    fraction = config.get("train_fraction", 0.7)
+    parts = corpus_mod.split(working, fraction, seed=args.seed)
+    if args.balance_after_split:
+        balanced_train = corpus_mod.oversample_minority(parts.train, seed=args.seed)
+        parts = dataclasses.replace(parts, train=balanced_train)
         balanced = corpus_mod.LabeledCorpus.from_records(
             list(balanced_train.records) + list(parts.test.records),
             dropped_rows=loaded.dropped_rows,
@@ -187,19 +145,19 @@ def _prepare_partitions(manifest: RunManifest):
     return loaded, balanced, parts
 
 
-def cmd_train(manifest: RunManifest) -> int:
-    vocab = load_vocabulary(manifest.require("vocab", manifest.vocab_path))
-    loaded, balanced, parts = _prepare_partitions(manifest)
-    model_cfg = _model_config(manifest, vocab)
+def cmd_train(args: argparse.Namespace, config: dict) -> int:
+    vocab = load_vocabulary(_require(args, "vocab"))
+    loaded, balanced, parts = _prepare_partitions(args, config)
+    model_cfg = _model_config(config, vocab)
     _check_vocab_size(vocab, model_cfg)
-    train_cfg = _train_config(manifest, model_cfg)
-    params = init_parameters(model_cfg, seed=manifest.seed, dtype=_dtype(manifest))
+    train_cfg = _train_config(args, config, model_cfg)
+    params = init_parameters(model_cfg, seed=args.seed, dtype=_dtype(config))
 
-    out_dir = Path(manifest.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
-        "loaded": loaded.summary(seed=manifest.seed),
-        "balanced": balanced.summary(seed=manifest.seed) if balanced else None,
+        "loaded": loaded.summary(seed=args.seed),
+        "balanced": balanced.summary(seed=args.seed) if balanced else None,
         "train_size": len(parts.train),
         "test_size": len(parts.test),
     }
@@ -211,7 +169,7 @@ def cmd_train(manifest: RunManifest) -> int:
     stats_path = out_dir / "train_stats.jsonl"
     with open(stats_path, "w", encoding="utf-8") as log:
         header = {"type": "header"}
-        header.update(working.summary(seed=manifest.seed))
+        header.update(working.summary(seed=args.seed))
         log.write(json.dumps(header) + "\n")
         log.flush()
         train(
@@ -248,19 +206,19 @@ def _stats_to_csv(stats_path: Path, out_dir: Path) -> None:
     (out_dir / "loss.csv").write_text("\n".join(loss_lines) + "\n", encoding="utf-8")
 
 
-def cmd_evaluate(manifest: RunManifest) -> int:
-    out_dir = Path(manifest.out_dir)
+def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if manifest.predictions_path is not None:
-        with open(manifest.predictions_path, "r", encoding="utf-8") as fh:
+    if args.predictions is not None:
+        with open(args.predictions, "r", encoding="utf-8") as fh:
             injected = json.load(fh)
         predictions = injected["predictions"]
         labels = injected["labels"]
     else:
-        vocab, params, model_cfg = _load_model(manifest)
-        train_cfg = _train_config(manifest, model_cfg)
-        _, _, parts = _prepare_partitions(manifest)
+        vocab, params, model_cfg = _load_model(args)
+        train_cfg = _train_config(args, config, model_cfg)
+        _, _, parts = _prepare_partitions(args, config)
         if len(parts.test) == 0:
             raise UsageError("test partition is empty; lower train_fraction")
         _, predictions = evaluate(params, parts.test, vocab, train_cfg)
@@ -275,51 +233,54 @@ def cmd_evaluate(manifest: RunManifest) -> int:
     (out_dir / "metrics.txt").write_text(report_text, encoding="utf-8")
     print(report_text, end="")
 
-    stats_path = (
-        Path(manifest.stats_path) if manifest.stats_path else out_dir / "train_stats.jsonl"
-    )
+    stats_path = Path(args.stats) if args.stats else out_dir / "train_stats.jsonl"
     if stats_path.exists():
         _stats_to_csv(stats_path, out_dir)
     return EXIT_OK
 
 
-def _resolve_text(manifest: RunManifest) -> str:
-    if manifest.text is not None and manifest.index is not None:
-        raise UsageError("pass either --text or --index, not both")
-    if manifest.text is not None:
-        if not manifest.text.strip():
+def _resolve_text(args: argparse.Namespace) -> str:
+    if args.index is None:
+        if not args.text.strip():
             raise UsageError("--text must be non-empty")
-        return manifest.text
-    if manifest.index is not None:
-        loaded = corpus_mod.load_corpus(manifest.require("corpus", manifest.corpus_path))
-        if not 0 <= manifest.index < len(loaded):
-            raise UsageError(
-                f"--index {manifest.index} out of range for corpus of {len(loaded)}"
-            )
-        return loaded.records[manifest.index].body
-    raise UsageError("one of --text or --index is required")
+        return args.text
+    loaded = corpus_mod.load_corpus(_require(args, "corpus"))
+    if not 0 <= args.index < len(loaded):
+        raise UsageError(f"--index {args.index} out of range for corpus of {len(loaded)}")
+    return loaded.records[args.index].body
 
 
-def _explain_both(manifest: RunManifest):
-    vocab, params, model_cfg = _load_model(manifest)
-    max_len = _max_len(manifest, model_cfg)
-    text = _resolve_text(manifest)
+def _explain_both(args: argparse.Namespace, config: dict):
+    vocab, params, model_cfg = _load_model(args)
+    max_len = _max_len(config, model_cfg)
+    text = _resolve_text(args)
 
     def classifier(sample_text: str):
         seq = encode(sample_text, vocab, max_len)
         out = forward(params, [seq], train_mode=False)
         return out.probabilities[0]
 
-    lime_exp = lime_explain(text, classifier, _lime_config(manifest))
-    ig_record = word_attributions(
-        text, params, vocab, _ig_config(manifest), max_len=max_len
+    lime_flags = {
+        name: getattr(args, name)
+        for name in ("num_features", "num_samples")
+        if getattr(args, name) is not None
+    }
+    # the config's lime.seed beats --seed; class names are the CLI's own
+    lime_cfg = _from_section(
+        LimeConfig, config, "lime", {"seed": args.seed},
+        **lime_flags, class_names=CLASS_NAMES,
     )
+    ig_flags = {} if args.steps is None else {"steps": args.steps}
+    ig_cfg = _from_section(IGConfig, config, "ig", **ig_flags)
+
+    lime_exp = lime_explain(text, classifier, lime_cfg)
+    ig_record = word_attributions(text, params, vocab, ig_cfg, max_len=max_len)
     return text, lime_exp, ig_record
 
 
-def cmd_explain(manifest: RunManifest) -> int:
-    text, lime_exp, ig_record = _explain_both(manifest)
-    out_dir = Path(manifest.out_dir)
+def cmd_explain(args: argparse.Namespace, config: dict) -> int:
+    text, lime_exp, ig_record = _explain_both(args, config)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     html_doc = render_explanation_html(text, lime_exp, ig_record, CLASS_NAMES)
@@ -340,10 +301,10 @@ def cmd_explain(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def cmd_compare(manifest: RunManifest) -> int:
-    _, lime_exp, ig_record = _explain_both(manifest)
+def cmd_compare(args: argparse.Namespace, config: dict) -> int:
+    _, lime_exp, ig_record = _explain_both(args, config)
     rows = comparison_rows(lime_exp, ig_record)
-    out_dir = Path(manifest.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_text = comparison_csv(rows)
     (out_dir / "comparison.csv").write_text(csv_text, encoding="utf-8")
@@ -354,35 +315,6 @@ def cmd_compare(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="phishlens",
-        description="Phishing-email detection and explanation toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "evaluate", "explain", "compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--corpus", dest="corpus_path")
-        p.add_argument("--vocab", dest="vocab_path")
-        p.add_argument("--checkpoint", dest="checkpoint_path")
-        p.add_argument("--config", dest="config_path")
-        p.add_argument("--balance", action="store_true")
-        p.add_argument(
-            "--balance-after-split", dest="balance_after_split", action="store_true"
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", dest="out_dir", default="out")
-        p.add_argument("--text")
-        p.add_argument("--index", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--num-features", dest="num_features", type=int)
-        p.add_argument("--num-samples", dest="num_samples", type=int)
-        if name == "evaluate":
-            p.add_argument("--predictions", dest="predictions_path")
-            p.add_argument("--stats", dest="stats_path")
-    return parser
-
-
 COMMANDS = {
     "train": cmd_train,
     "evaluate": cmd_evaluate,
@@ -391,36 +323,57 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        corpus_path=args.corpus_path,
-        vocab_path=args.vocab_path,
-        checkpoint_path=args.checkpoint_path,
-        config_path=args.config_path,
-        predictions_path=getattr(args, "predictions_path", None),
-        stats_path=getattr(args, "stats_path", None),
-        balance=args.balance,
-        balance_after_split=args.balance_after_split,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        text=args.text,
-        index=args.index,
-        steps=args.steps,
-        num_features=args.num_features,
-        num_samples=args.num_samples,
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring only the flags that command reads."""
+    parser = argparse.ArgumentParser(
+        prog="phishlens",
+        description="Phishing-email detection and explanation toolkit",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--vocab")
+        p.add_argument("--config")
+        p.add_argument("--corpus")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", default="out")
+        if name != "train":
+            p.add_argument("--checkpoint")
+        if name in ("train", "evaluate"):
+            balance = p.add_mutually_exclusive_group()
+            balance.add_argument("--balance", action="store_true")
+            balance.add_argument("--balance-after-split", action="store_true")
+        if name == "evaluate":
+            p.add_argument("--predictions")
+            p.add_argument("--stats")
+        if name in ("explain", "compare"):
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--text")
+            source.add_argument("--index", type=int)
+            p.add_argument("--steps", type=int)
+            p.add_argument("--num-features", type=int)
+            p.add_argument("--num-samples", type=int)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        manifest.validate()
-        manifest.config = _load_config_file(manifest.config_path)
-        # config-file "paths" act as defaults for the corresponding flags
-        paths = manifest.config.get("paths", {})
-        manifest.corpus_path = manifest.corpus_path or paths.get("corpus")
-        manifest.vocab_path = manifest.vocab_path or paths.get("vocab")
-        manifest.checkpoint_path = manifest.checkpoint_path or paths.get("checkpoint")
-        manifest.validate()
-        return COMMANDS[manifest.command](manifest)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return exc.code
+    try:
+        config = _load_config_file(args.config)
+        # config "paths" fill only the flags this command has and left unset
+        paths = config.get("paths", {})
+        for kind in ("corpus", "vocab", "checkpoint"):
+            if kind in vars(args) and getattr(args, kind) is None:
+                setattr(args, kind, paths.get(kind))
+        # a missing --config has already failed to open
+        for kind in ("corpus", "vocab", "checkpoint", "predictions"):
+            path = getattr(args, kind, None)
+            if path is not None and not Path(path).exists():
+                raise UsageError(f"{kind} path does not exist: {path}")
+        return COMMANDS[args.command](args, config)
     except (UsageError, corpus_mod.EmptyCorpusError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

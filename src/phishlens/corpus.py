@@ -44,28 +44,22 @@ class EmailRecord:
 @dataclass(frozen=True)
 class LabeledCorpus:
     records: tuple[EmailRecord, ...]
-    class_counts: dict[int, int]
     dropped_rows: int = 0
 
     @classmethod
     def from_records(cls, records: Sequence[EmailRecord], dropped_rows: int = 0) -> "LabeledCorpus":
-        counts = {SAFE: 0, PHISHING: 0}
-        for rec in records:
-            counts[rec.label] += 1
-        return cls(records=tuple(records), class_counts=counts, dropped_rows=dropped_rows)
+        return cls(records=tuple(records), dropped_rows=dropped_rows)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def recount(self) -> dict[int, int]:
+    @property
+    def class_counts(self) -> dict[int, int]:
+        """Records per label, derived from `records`."""
         counts = {SAFE: 0, PHISHING: 0}
         for rec in self.records:
             counts[rec.label] += 1
         return counts
-
-    def check_invariants(self) -> None:
-        if self.recount() != self.class_counts:
-            raise AssertionError("class_counts inconsistent with records")
 
     def summary(self, seed: int | None = None) -> dict:
         return {

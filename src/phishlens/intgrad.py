@@ -29,14 +29,11 @@ _CHUNK = 64  # path steps evaluated per forward/backward batch
 @dataclass
 class IGConfig:
     steps: int = 64
-    baseline_policy: str = "pad-baseline"
     normalize: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.baseline_policy != "pad-baseline":
-            raise ValueError(f"unknown baseline policy {self.baseline_policy!r}")
 
 
 @dataclass(frozen=True)

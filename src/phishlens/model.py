@@ -321,15 +321,22 @@ def forward_from_embeddings(
 
 
 def cross_entropy_loss(output: ForwardOutput, labels: Sequence[int]) -> float:
-    """Mean negative log-probability of the true class."""
-    probs = output.probabilities
-    if len(labels) != probs.shape[0]:
-        raise ValueError(f"{len(labels)} labels for batch of {probs.shape[0]}")
+    """Mean negative log-probability of the true class, from the logits.
+
+    The log-softmax (log-partition minus true-class logit, both shifted by
+    the row maximum) stays finite where the true class's probability
+    underflows to 0.
+    """
+    logits = output.logits
+    if len(labels) != logits.shape[0]:
+        raise ValueError(f"{len(labels)} labels for batch of {logits.shape[0]}")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0 or labels_arr.max() >= probs.shape[1]:
-        raise ValueError(f"labels must lie in [0, {probs.shape[1]}), got {labels}")
-    picked = probs[np.arange(len(labels_arr)), labels_arr]
-    return float(-np.log(picked).mean())
+    if labels_arr.min() < 0 or labels_arr.max() >= logits.shape[1]:
+        raise ValueError(f"labels must lie in [0, {logits.shape[1]}), got {labels}")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_partition = np.log(np.exp(shifted).sum(axis=1))
+    true_logit = shifted[np.arange(len(labels_arr)), labels_arr]
+    return float(log_partition.mean() - true_logit.mean())
 
 
 # ----------------------------------------------------------------- backward

@@ -30,7 +30,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     shuffle_seed: int = 0
     max_len: int = 512
-    max_grad_norm: float | None = None  # clipping off unless set
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -112,14 +111,6 @@ def adamw_step(
     return state
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-
-
 def _batches(n: int, size: int, order=None):
     idx = np.arange(n) if order is None else order
     for start in range(0, n, size):
@@ -193,8 +184,6 @@ def train(
             out = forward(params, batch, train_mode=True, rng=dropout_rng)
             loss = cross_entropy_loss(out, labels)
             grads = backward(params, out, labels)
-            if cfg.max_grad_norm is not None:
-                _clip_gradients(grads, cfg.max_grad_norm)
             adamw_step(params.tensors, grads, state, cfg)
             loss_sum += loss * len(idx)
             correct += int((out.probabilities.argmax(axis=1) == labels).sum())

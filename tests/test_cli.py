@@ -372,3 +372,65 @@ def test_max_len_above_max_positions_is_usage_error(trained, tmp_path, capsys, c
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "max_len 32" in err and "max_positions 16" in err
+
+
+def _command_args(command, trained, config, out_dir):
+    """A run of `command` that succeeds with the toy config."""
+    if command == "train":
+        return [
+            "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", config,
+            "--out-dir", str(out_dir),
+        ]
+    return _inference_args(command, trained, VOCAB, config, out_dir)
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("train", ["--steps", "4"]),
+        ("train", ["--num-samples", "5"]),
+        ("evaluate", ["--steps", "4"]),
+        ("explain", ["--balance"]),
+        ("compare", ["--balance-after-split"]),
+    ],
+)
+def test_flag_the_command_does_not_take_is_usage_error(
+    trained, tmp_path, capsys, command, extra
+):
+    args = _command_args(command, trained, CONFIG, tmp_path)
+    assert main(args + extra) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_one_config_with_paths_trains_then_evaluates(tmp_path):
+    config = json.loads(Path(CONFIG).read_text())
+    config["paths"] = {
+        "corpus": CORPUS, "vocab": VOCAB, "checkpoint": str(tmp_path / "model.phl"),
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    common = ["--config", str(cfg_path), "--seed", "5", "--out-dir", str(tmp_path)]
+    assert main(["train"] + common) == EXIT_OK
+    assert main(["evaluate"] + common) == EXIT_OK
+    assert (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,section,patch",
+    [
+        ("train", "train", {"lr": 0.1}),
+        ("train", "train", {"learning_rate": -1}),
+        ("train", "model", {"num_heads": 3}),  # hidden_dim 16
+        ("explain", "lime", {"samples": 3}),
+        ("train", "train", {"max_len": "16"}),
+    ],
+)
+def test_rejected_config_section_is_usage_error(
+    trained, tmp_path, capsys, command, section, patch
+):
+    config = json.loads(Path(CONFIG).read_text())
+    config[section].update(patch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(_command_args(command, trained, str(cfg_path), tmp_path)) == EXIT_USAGE
+    assert f"config section '{section}'" in capsys.readouterr().err

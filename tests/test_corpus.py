@@ -88,7 +88,6 @@ def test_load_fixture_file():
     corpus = load_corpus(str(DATA / "fixture_emails.csv"))
     assert corpus.class_counts == {SAFE: 4, PHISHING: 2}
     assert corpus.dropped_rows == 2
-    corpus.check_invariants()
 
 
 def test_oversample_balances_counts():

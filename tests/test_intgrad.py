@@ -169,8 +169,6 @@ def test_attribution_record_json_schema(ig_params, vocab):
 def test_ig_config_validation():
     with pytest.raises(ValueError):
         IGConfig(steps=0)
-    with pytest.raises(ValueError):
-        IGConfig(baseline_policy="zeros")
 
 
 def test_path_integrate_chunk_order_insensitive(monkeypatch):

@@ -169,6 +169,14 @@ def test_cross_entropy_hand_computed_mean():
     assert cross_entropy_loss(out_like, [1, 0]) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype,gap", [(np.float64, 800.0), (np.float32, 120.0)])
+def test_cross_entropy_finite_when_true_class_underflows(dtype, gap):
+    # softmax of the true class underflows to exactly 0 at these gaps
+    out_like = forward_output_from_logits(np.array([[gap, 0.0]], dtype=dtype))
+    assert out_like.probabilities[0, 1] == 0.0
+    assert cross_entropy_loss(out_like, [1]) == pytest.approx(gap, rel=1e-6)
+
+
 def test_cross_entropy_rejects_bad_labels():
     out_like = forward_output_from_logits(np.zeros((2, 2)))
     with pytest.raises(ValueError):
