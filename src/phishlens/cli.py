@@ -45,12 +45,22 @@ def _require(args: argparse.Namespace, kind: str) -> str:
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The --config JSON; a file whose shape the commands cannot read is a usage error."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
+    for name in ("model", "train", "lime", "ig", "paths"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise UsageError(f"config section '{name}' must be a JSON object")
+    fraction = cfg.get("train_fraction", 0.7)
+    if type(fraction) not in (int, float) or not 0.0 < fraction <= 1.0:
+        raise UsageError(f"train_fraction must be a number in (0, 1], got {fraction!r}")
     return cfg
 
 

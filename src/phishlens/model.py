@@ -207,6 +207,7 @@ def _dropout(x, rate, rng):
 class ForwardOutput:
     logits: np.ndarray
     probabilities: np.ndarray
+    # backward cache: kept by train-mode forward() and by forward_from_embeddings()
     cache: dict | None = field(default=None, repr=False)
 
 
@@ -232,11 +233,15 @@ def forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardOutput:
+    """Logits and probabilities for a batch of token sequences.
+
+    Only a train-mode pass keeps the backward cache; in eval mode `.cache`
+    is None and each layer's activations are freed as soon as the next
+    layer has read them.
+    """
     ids, mask = batch_arrays(batch)
-    e = embed(params, ids)
-    out = forward_from_embeddings(params, e, mask, train_mode=train_mode, rng=rng)
-    out.cache["ids"] = ids
-    return out
+    cache = {"ids": ids} if train_mode else None
+    return _run_encoder(params, embed(params, ids), mask, train_mode, rng, cache)
 
 
 def forward_from_embeddings(
@@ -248,67 +253,36 @@ def forward_from_embeddings(
 ) -> ForwardOutput:
     """Run the encoder stack and classification head from given embeddings.
 
-    Exposed separately so attribution code can walk the embedding path.
+    Exposed separately so attribution code can walk the embedding path; the
+    output always keeps the cache that grad_wrt_embeddings() reads.
     """
+    return _run_encoder(params, embeddings, mask, train_mode, rng, cache={})
+
+
+def _run_encoder(
+    params, embeddings, mask, train_mode, rng, cache: dict | None
+) -> ForwardOutput:
+    """Encoder stack and head; fills `cache` for _backward_core unless it is None."""
     cfg = params.config
     p = params.tensors
-    drop = train_mode and cfg.dropout_rate > 0.0
-    if drop and rng is None:
-        rng = np.random.default_rng()
+    if train_mode and cfg.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("a train-mode pass with dropout needs an rng")
+    else:
+        rng = None  # no dropout
 
-    b, t, d = embeddings.shape
+    t = embeddings.shape[1]
     if t > cfg.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {cfg.max_positions}")
-    h, hd = cfg.num_heads, cfg.head_dim
     mask = np.asarray(mask, dtype=embeddings.dtype)
     mask_add = (1.0 - mask)[:, None, None, :] * NEG_INF  # (B,1,1,T) on the key axis
-
-    cache: dict = {"mask": mask, "train_mode": train_mode, "embeddings": embeddings, "layers": []}
+    layers = None if cache is None else []
 
     x = embeddings
-    if drop:
-        x, keep = _dropout(x, cfg.dropout_rate, rng)
-        cache["embed_keep"] = keep
-
+    if rng is not None:
+        x, embed_keep = _dropout(x, cfg.dropout_rate, rng)
     for i in range(cfg.num_layers):
-        pre = f"layer{i}."
-        lc: dict = {"x_in": x}
-        q = x @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
-        k = x @ p[pre + "attn_k.weight"] + p[pre + "attn_k.bias"]
-        v = x @ p[pre + "attn_v.weight"] + p[pre + "attn_v.bias"]
-
-        def heads(m):
-            return m.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-
-        qh, kh, vh = heads(q), heads(k), heads(v)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd) + mask_add
-        probs = softmax(scores, axis=-1)  # masked keys get exactly 0
-        ctx = probs @ vh  # (B,h,T,hd)
-        merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
-        attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
-        if drop:
-            attn, keep = _dropout(attn, cfg.dropout_rate, rng)
-            lc["attn_keep"] = keep
-        h1, ln1_cache = _layer_norm(
-            x + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
-        )
-
-        ffn_pre = h1 @ p[pre + "ffn_in.weight"] + p[pre + "ffn_in.bias"]
-        ffn_act = gelu(ffn_pre)
-        ffn_out = ffn_act @ p[pre + "ffn_out.weight"] + p[pre + "ffn_out.bias"]
-        if drop:
-            ffn_out, keep = _dropout(ffn_out, cfg.dropout_rate, rng)
-            lc["ffn_keep"] = keep
-        h2, ln2_cache = _layer_norm(
-            h1 + ffn_out, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"]
-        )
-
-        lc.update(
-            qh=qh, kh=kh, vh=vh, probs=probs, merged=merged,
-            h1=h1, ln1=ln1_cache, ffn_pre=ffn_pre, ffn_act=ffn_act, ln2=ln2_cache,
-        )
-        cache["layers"].append(lc)
-        x = h2
+        x = _encoder_layer(p, f"layer{i}.", x, mask_add, cfg, rng, layers)
 
     cls_vec = x[:, 0, :]
     pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
@@ -316,8 +290,66 @@ def forward_from_embeddings(
     logits = pre_act @ p["classifier.weight"] + p["classifier.bias"]
     probs_out = softmax(logits, axis=-1)
 
-    cache.update(final_hidden=x, cls_vec=cls_vec, pre_lin=pre_lin, pre_act=pre_act)
+    if cache is not None:
+        cache.update(
+            mask=mask, layers=layers,
+            final_hidden=x, cls_vec=cls_vec, pre_lin=pre_lin, pre_act=pre_act,
+        )
+        if rng is not None:
+            cache["embed_keep"] = embed_keep
     return ForwardOutput(logits=logits, probabilities=probs_out, cache=cache)
+
+
+def _encoder_layer(p, pre, x, mask_add, cfg, rng, layers: list | None) -> np.ndarray:
+    """One post-layer-norm block; dropout iff rng is given, and the layer's
+    backward cache is appended to `layers` unless it is None."""
+    b, t, d = x.shape
+    h, hd = cfg.num_heads, cfg.head_dim
+    lc: dict = {"x_in": x}
+    q = x @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
+    k = x @ p[pre + "attn_k.weight"] + p[pre + "attn_k.bias"]
+    v = x @ p[pre + "attn_v.weight"] + p[pre + "attn_v.bias"]
+
+    def heads(m):
+        return m.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd) + mask_add
+    probs = softmax(scores, axis=-1)  # masked keys get exactly 0
+    ctx = probs @ vh  # (B,h,T,hd)
+    merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
+    attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
+    if rng is not None:
+        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng)
+    h1, ln1_cache = _layer_norm(
+        x + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
+    )
+
+    ffn_pre = h1 @ p[pre + "ffn_in.weight"] + p[pre + "ffn_in.bias"]
+    ffn_act = gelu(ffn_pre)
+    ffn_out = ffn_act @ p[pre + "ffn_out.weight"] + p[pre + "ffn_out.bias"]
+    if rng is not None:
+        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, rng)
+    h2, ln2_cache = _layer_norm(
+        h1 + ffn_out, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"]
+    )
+
+    if layers is not None:
+        lc.update(
+            qh=qh, kh=kh, vh=vh, probs=probs, merged=merged,
+            h1=h1, ln1=ln1_cache, ffn_pre=ffn_pre, ffn_act=ffn_act, ln2=ln2_cache,
+        )
+        layers.append(lc)
+    return h2
+
+
+def _label_array(labels: Sequence[int], rows: int, classes: int) -> np.ndarray:
+    if len(labels) != rows:
+        raise ValueError(f"{len(labels)} labels for batch of {rows}")
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    if labels_arr.min() < 0 or labels_arr.max() >= classes:
+        raise ValueError(f"labels must lie in [0, {classes}), got {labels}")
+    return labels_arr
 
 
 def cross_entropy_loss(output: ForwardOutput, labels: Sequence[int]) -> float:
@@ -328,11 +360,7 @@ def cross_entropy_loss(output: ForwardOutput, labels: Sequence[int]) -> float:
     underflows to 0.
     """
     logits = output.logits
-    if len(labels) != logits.shape[0]:
-        raise ValueError(f"{len(labels)} labels for batch of {logits.shape[0]}")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0 or labels_arr.max() >= logits.shape[1]:
-        raise ValueError(f"labels must lie in [0, {logits.shape[1]}), got {labels}")
+    labels_arr = _label_array(labels, *logits.shape)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_partition = np.log(np.exp(shifted).sum(axis=1))
     true_logit = shifted[np.arange(len(labels_arr)), labels_arr]
@@ -343,21 +371,25 @@ def cross_entropy_loss(output: ForwardOutput, labels: Sequence[int]) -> float:
 
 
 def backward(
-    params: ModelParameters, output: ForwardOutput, labels: Sequence[int]
-) -> GradientSet:
-    """Exact gradients of the mean cross-entropy loss for every parameter."""
-    cache = output.cache
-    if cache is None:
-        raise StaleCacheError("forward cache missing; rerun forward() before backward()")
-    b = output.probabilities.shape[0]
-    if len(labels) != b:
-        raise StaleCacheError(f"cache holds batch of {b}, got {len(labels)} labels")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    dlogits = output.probabilities.copy()
+    params: ModelParameters,
+    batch: Sequence[TokenSequence],
+    labels: Sequence[int],
+    rng: np.random.Generator | None = None,
+) -> tuple[ForwardOutput, GradientSet]:
+    """Train-mode forward over `batch`, then exact gradients of its mean
+    cross-entropy loss for every parameter.
+
+    The cache is consumed here: the returned output has `cache=None`.
+    """
+    labels_arr = _label_array(labels, len(batch), params.config.num_classes)
+    out = forward(params, batch, train_mode=True, rng=rng)
+    cache, out.cache = out.cache, None
+    b = len(labels_arr)
+    dlogits = out.probabilities.copy()
     dlogits[np.arange(b), labels_arr] -= 1.0
     dlogits /= b
     grads, _ = _backward_core(params, cache, dlogits, want_param_grads=True)
-    return grads
+    return out, grads
 
 
 def grad_wrt_embeddings(
@@ -366,7 +398,9 @@ def grad_wrt_embeddings(
     """d(target logit)/d(embeddings) for every batch row; parameters untouched."""
     cache = output.cache
     if cache is None:
-        raise StaleCacheError("forward cache missing; rerun forward() before backward()")
+        raise StaleCacheError(
+            "output has no backward cache; compute it with forward_from_embeddings()"
+        )
     b, c = output.logits.shape
     dlogits = np.zeros((b, c), dtype=output.logits.dtype)
     dlogits[:, target] = 1.0
@@ -469,11 +503,8 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         dx = dx * cache["embed_keep"]
 
     if want_param_grads:
-        if "ids" not in cache:
-            raise StaleCacheError("cache lacks token ids; parameter gradients need forward()")
-        ids = cache["ids"]
         np.add.at(
-            grads["token_embedding"], ids.reshape(-1), dx.reshape(-1, d)
+            grads["token_embedding"], cache["ids"].reshape(-1), dx.reshape(-1, d)
         )
         grads["position_embedding"][:t] = dx.sum(axis=0)
 

@@ -181,9 +181,8 @@ def train(
         for idx in _batches(n, cfg.train_batch_size, order):
             batch = [train_seqs[i] for i in idx]
             labels = train_labels[idx]
-            out = forward(params, batch, train_mode=True, rng=dropout_rng)
+            out, grads = backward(params, batch, labels, rng=dropout_rng)
             loss = cross_entropy_loss(out, labels)
-            grads = backward(params, out, labels)
             adamw_step(params.tensors, grads, state, cfg)
             loss_sum += loss * len(idx)
             correct += int((out.probabilities.argmax(axis=1) == labels).sum())

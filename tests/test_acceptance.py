@@ -20,7 +20,7 @@ from phishlens.cli import main as cli_main
 from phishlens.corpus import PHISHING, SAFE
 from phishlens.intgrad import IGConfig, path_integrate, word_attributions
 from phishlens.lime_text import LimeConfig, explain as lime_explain
-from phishlens.model import ModelConfig, backward, forward, init_parameters
+from phishlens.model import ModelConfig, backward, init_parameters
 from phishlens.tokenizer import encode, wordpiece_tokenize
 from phishlens.training import OptimizerState, TrainConfig, adamw_step, train
 from test_model import finite_difference_gradients
@@ -125,8 +125,7 @@ def test_criterion_4_gradient_correctness(toy_params):
     params = widen_parameters(toy_params)
     batch = toy_batch()
     labels = [1, 0]
-    out = forward(params, batch)
-    grads = backward(params, out, labels)
+    _, grads = backward(params, batch, labels)
     fd = finite_difference_gradients(params, batch, labels, step=1e-3)
     assert all(t.dtype == np.float64 for t in params.tensors.values())
     for name in params.tensors:

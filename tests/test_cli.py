@@ -434,3 +434,33 @@ def test_rejected_config_section_is_usage_error(
     cfg_path.write_text(json.dumps(config))
     assert main(_command_args(command, trained, str(cfg_path), tmp_path)) == EXIT_USAGE
     assert f"config section '{section}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,patch,message",
+    [
+        ("train", None, "not valid JSON"),
+        ("train", {"train": []}, "config section 'train' must be a JSON object"),
+        ("train", {"model": []}, "config section 'model' must be a JSON object"),
+        ("evaluate", {"paths": []}, "config section 'paths' must be a JSON object"),
+        ("explain", {"lime": []}, "config section 'lime' must be a JSON object"),
+        ("compare", {"ig": []}, "config section 'ig' must be a JSON object"),
+        ("train", {"train_fraction": "x"}, "train_fraction must be a number in (0, 1]"),
+        ("train", {"train_fraction": 0}, "train_fraction must be a number in (0, 1]"),
+        ("evaluate", {"train_fraction": 1.5}, "train_fraction must be a number in (0, 1]"),
+    ],
+)
+def test_malformed_config_file_is_usage_error(
+    trained, tmp_path, capsys, command, patch, message
+):
+    text = Path(CONFIG).read_text()
+    cfg_path = tmp_path / "cfg.json"
+    if patch is None:
+        cfg_path.write_text(text[: len(text) // 2])  # truncated mid-object
+    else:
+        cfg_path.write_text(json.dumps({**json.loads(text), **patch}))
+    assert main(_command_args(command, trained, str(cfg_path), tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    if patch is None:
+        assert str(cfg_path) in err

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from phishlens.model import (
     ModelConfig,
     StaleCacheError,
     backward,
+    batch_arrays,
     cross_entropy_loss,
     embed,
     forward,
     forward_from_embeddings,
+    grad_wrt_embeddings,
     init_parameters,
     load_checkpoint,
     parameter_count,
@@ -117,7 +122,7 @@ def test_forward_rejects_overlong_sequence(toy_params):
 
 
 def test_attention_rows_normalized_and_masked_weights_zero(toy_params):
-    out = forward(toy_params, toy_batch())
+    out = forward(toy_params, toy_batch(), train_mode=True)
     mask = out.cache["mask"]
     for lc in out.cache["layers"]:
         probs = lc["probs"]  # (B, h, T, T)
@@ -145,6 +150,15 @@ def test_dropout_active_only_in_train_mode(toy_config):
     train_a = forward(params, batch, train_mode=True, rng=rng)
     train_b = forward(params, batch, train_mode=True, rng=rng)
     assert not np.array_equal(train_a.logits, train_b.logits)
+
+
+def test_dropout_without_rng_is_rejected(toy_config):
+    params = init_parameters(dataclasses.replace(toy_config, dropout_rate=0.5), seed=3)
+    with pytest.raises(ValueError, match="rng"):
+        forward(params, toy_batch(), train_mode=True)
+    with pytest.raises(ValueError, match="rng"):
+        backward(params, toy_batch(), LABELS)
+    forward(params, toy_batch())  # eval mode drops nothing and needs no rng
 
 
 def test_cross_entropy_uniform_logits():
@@ -194,8 +208,7 @@ def forward_output_from_logits(logits):
 def test_gradients_match_finite_differences(toy_params):
     params = widen_parameters(toy_params)
     batch = toy_batch()
-    out = forward(params, batch)
-    grads = backward(params, out, LABELS)
+    _, grads = backward(params, batch, LABELS)
     fd = finite_difference_gradients(params, batch, LABELS)
     for name in params.tensors:
         a, f = grads[name].reshape(-1), fd[name].reshape(-1)
@@ -207,8 +220,7 @@ def test_gradients_match_finite_differences(toy_params):
 def test_pad_position_embedding_gradients_exactly_zero(toy_params):
     params = widen_parameters(toy_params)
     batch = toy_batch()  # pads use token id 0, which never appears unmasked
-    out = forward(params, batch)
-    grads = backward(params, out, LABELS)
+    _, grads = backward(params, batch, LABELS)
     assert np.all(grads["token_embedding"][0] == 0.0)
     # position rows beyond the longest real prefix see only masked positions
     assert np.all(grads["position_embedding"][8:] == 0.0)
@@ -217,35 +229,71 @@ def test_pad_position_embedding_gradients_exactly_zero(toy_params):
 def test_duplicated_batch_gives_identical_gradients(toy_params):
     params = widen_parameters(toy_params)
     batch = toy_batch()
-    out = forward(params, batch)
-    grads = backward(params, out, LABELS)
-    out2 = forward(params, batch + batch)
-    grads2 = backward(params, out2, LABELS + LABELS)
+    _, grads = backward(params, batch, LABELS)
+    _, grads2 = backward(params, batch + batch, LABELS + LABELS)
     for name in grads:
         np.testing.assert_allclose(grads[name], grads2[name], atol=1e-12)
 
 
-def test_backward_requires_cache(toy_params):
-    out = forward(toy_params, toy_batch())
-    out.cache = None
-    with pytest.raises(StaleCacheError):
-        backward(toy_params, out, LABELS)
-
-
 def test_backward_rejects_label_count_mismatch(toy_params):
-    out = forward(toy_params, toy_batch())
-    with pytest.raises(StaleCacheError):
-        backward(toy_params, out, [1])
+    with pytest.raises(ValueError, match="1 labels for batch of 2"):
+        backward(toy_params, toy_batch(), [1])
 
 
-def test_backward_from_embeddings_cache_lacks_ids(toy_params):
-    from phishlens.model import batch_arrays
+def _four_layer_params(max_positions=8):
+    config = ModelConfig(
+        vocab_size=60, max_positions=max_positions, hidden_dim=64,
+        num_heads=4, num_layers=4, ffn_dim=256, dropout_rate=0.0,
+    )
+    return init_parameters(config, seed=5)
 
-    ids, mask = batch_arrays(toy_batch())
-    e = embed(toy_params, ids)
-    out = forward_from_embeddings(toy_params, e, mask)
-    with pytest.raises(StaleCacheError):
-        backward(toy_params, out, LABELS)
+
+def test_only_differentiated_passes_keep_a_cache():
+    params = _four_layer_params()
+    batch = toy_batch()
+    assert forward(params, batch).cache is None
+    ids, mask = batch_arrays(batch)
+    from_embeddings = forward_from_embeddings(params, embed(params, ids), mask)
+    for out in (forward(params, batch, train_mode=True), from_embeddings):
+        assert len(out.cache["layers"]) == params.config.num_layers
+
+
+def test_backward_output_matches_eval_forward_without_cache():
+    params = _four_layer_params()
+    out, _ = backward(params, toy_batch(), LABELS)
+    np.testing.assert_array_equal(out.logits, forward(params, toy_batch()).logits)
+    assert out.cache is None
+
+
+def test_grad_wrt_embeddings_names_the_pass_that_keeps_a_cache(toy_params):
+    with pytest.raises(StaleCacheError, match=r"forward_from_embeddings\(\)"):
+        grad_wrt_embeddings(toy_params, forward(toy_params, toy_batch()), target=1)
+
+
+def test_eval_forward_holds_no_cache_memory():
+    # d=64, T=128, B=8, 4 layers: float64 attention maps are 4 MB per layer
+    params = _four_layer_params(max_positions=128)
+    rng = np.random.default_rng(0)
+    batch = [make_seq([2, *rng.integers(5, 60, 126).tolist(), 3], 128, 128) for _ in range(8)]
+
+    def traced(train_mode):
+        tracemalloc.start()
+        try:
+            out = forward(params, batch, train_mode=train_mode)
+            _, peak = tracemalloc.get_traced_memory()
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in arrays.statistics("filename"))
+        return held - out.logits.nbytes - out.probabilities.nbytes, peak
+
+    eval_held, eval_peak = traced(False)
+    train_held, train_peak = traced(True)
+    assert eval_held == 0
+    assert train_held > 10 * 2**20
+    assert eval_peak < 0.5 * train_peak
 
 
 def test_checkpoint_round_trip_bit_exact(toy_params, tmp_path):
@@ -321,8 +369,7 @@ def test_gradients_sampled_on_deeper_stack(vocab):
         make_seq([2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], 2, 12),
     ]
     labels = [1, 0, 1]
-    out = forward(params, batch)
-    grads = backward(params, out, labels)
+    _, grads = backward(params, batch, labels)
 
     rng = np.random.default_rng(0)
     step = 1e-3

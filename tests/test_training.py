@@ -238,7 +238,7 @@ def test_epoch_stats_fields():
 
 def test_adamw_bound_holds_on_real_toy_run(vocab):
     # same bound as the synthetic-tensor test, checked on actual model steps
-    from phishlens.model import backward, forward
+    from phishlens.model import backward
     from phishlens.training import _batches
 
     corpus = synthetic_corpus(48, seed=6)
@@ -253,8 +253,7 @@ def test_adamw_bound_holds_on_real_toy_run(vocab):
     bound_scale = cfg.learning_rate / (1 - cfg.beta1)
     for _ in range(2):
         for idx in _batches(len(seqs), cfg.train_batch_size):
-            out = forward(params, [seqs[i] for i in idx])
-            grads = backward(params, out, labels[idx])
+            _, grads = backward(params, [seqs[i] for i in idx], labels[idx])
             before = {k: v.copy() for k, v in params.tensors.items()}
             adamw_step(params.tensors, grads, state, cfg)
             for name, theta in params.tensors.items():
