@@ -44,17 +44,22 @@ def _require(args: argparse.Namespace, kind: str) -> str:
     return path
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
 def _load_config_file(path: str | None) -> dict:
     """The --config JSON; a file whose shape the commands cannot read is a usage error."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
+    cfg = _read_json_object(path, "config")
     for name in ("model", "train", "lime", "ig", "paths"):
         if not isinstance(cfg.get(name, {}), dict):
             raise UsageError(f"config section '{name}' must be a JSON object")
@@ -216,15 +221,21 @@ def _stats_to_csv(stats_path: Path, out_dir: Path) -> None:
     (out_dir / "loss.csv").write_text("\n".join(loss_lines) + "\n", encoding="utf-8")
 
 
+def _load_predictions(path: str) -> tuple[list, list]:
+    """The --predictions JSON: an object with `predictions` and `labels` lists."""
+    injected = _read_json_object(path, "predictions file")
+    missing = [key for key in ("predictions", "labels") if key not in injected]
+    if missing:
+        raise UsageError(f"{path}: predictions file lacks {', '.join(missing)}")
+    return injected["predictions"], injected["labels"]
+
+
 def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.predictions is not None:
-        with open(args.predictions, "r", encoding="utf-8") as fh:
-            injected = json.load(fh)
-        predictions = injected["predictions"]
-        labels = injected["labels"]
+        predictions, labels = _load_predictions(args.predictions)
     else:
         vocab, params, model_cfg = _load_model(args)
         train_cfg = _train_config(args, config, model_cfg)

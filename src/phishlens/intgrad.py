@@ -108,7 +108,12 @@ def integrated_gradients(
     target: int,
     steps: int,
 ) -> np.ndarray:
-    """Per-position, per-dimension attributions of the target-class logit."""
+    """Per-position, per-dimension attributions of the target-class logit,
+    shape (T, D) over the full padded length.
+
+    The path runs over the collated (trimmed) width; positions past the
+    longest real token get exact zeros, since input and baseline agree there.
+    """
     if len(input_seq.input_ids) != len(baseline_seq.input_ids):
         raise ValueError("input and baseline sequences differ in length")
     if input_seq.attention_mask != baseline_seq.attention_mask:
@@ -116,7 +121,9 @@ def integrated_gradients(
     ids, mask = batch_arrays([input_seq, baseline_seq])
     e = embed(params, ids)
     grad_fn = _logit_grad_fn(params, mask[0], target)
-    return path_integrate(grad_fn, e[0], e[1], steps)
+    attribution = np.zeros((len(input_seq.input_ids), e.shape[2]), dtype=e.dtype)
+    attribution[: e.shape[1]] = path_integrate(grad_fn, e[0], e[1], steps)
+    return attribution
 
 
 def word_attributions(

@@ -3,12 +3,14 @@ and binary checkpoint I/O.
 
 Everything is plain numpy. Shapes: (B, T, D) batch/sequence/hidden and
 (B, h, T, d) per attention head. Default dtype is float64 so finite-difference
-gradient checks are meaningful; float32 is fine for bulk runs.
+gradient checks are meaningful; a float32 model computes in float32 (scalar
+constants are Python floats, which never promote an array).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -168,12 +170,12 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
 
@@ -212,9 +214,16 @@ class ForwardOutput:
 
 
 def batch_arrays(batch: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and mask of a batch, without the trailing columns that are padding
+    in every row: the encoder runs at the longest real length, and since
+    masked keys get exactly 0 attention the logits cannot depend on them."""
     ids = np.array([seq.input_ids for seq in batch], dtype=np.int64)
     mask = np.array([seq.attention_mask for seq in batch], dtype=np.float64)
-    return ids, mask
+    real = mask != 0.0
+    if not real.any(axis=1).all():
+        raise ValueError("every sequence needs at least one real token")
+    width = int(np.flatnonzero(real.any(axis=0))[-1]) + 1
+    return ids[:, :width], mask[:, :width]
 
 
 def embed(params: ModelParameters, ids: np.ndarray) -> np.ndarray:
@@ -233,7 +242,8 @@ def forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardOutput:
-    """Logits and probabilities for a batch of token sequences.
+    """Logits and probabilities for a batch of token sequences, run at the
+    batch's longest real length (see batch_arrays).
 
     Only a train-mode pass keeps the backward cache; in eval mode `.cache`
     is None and each layer's activations are freed as soon as the next
@@ -314,7 +324,7 @@ def _encoder_layer(p, pre, x, mask_add, cfg, rng, layers: list | None) -> np.nda
         return m.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
 
     qh, kh, vh = heads(q), heads(k), heads(v)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd) + mask_add
+    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(hd) + mask_add
     probs = softmax(scores, axis=-1)  # masked keys get exactly 0
     ctx = probs @ vh  # (B,h,T,hd)
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
@@ -483,7 +493,7 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         d_probs = d_ctx @ vh.transpose(0, 1, 3, 2)
         rowdot = (d_probs * probs).sum(axis=-1, keepdims=True)
         d_scores = (d_probs - rowdot) * probs
-        scale = 1.0 / np.sqrt(hd)
+        scale = 1.0 / math.sqrt(hd)
         d_qh = d_scores @ kh * scale
         d_kh = d_scores.transpose(0, 1, 3, 2) @ qh * scale
 

@@ -128,6 +128,27 @@ def test_evaluate_golden_imbalanced_confusion(tmp_path, capsys):
     assert metrics["accuracy_percent_2dp"] == 97.50
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ('{"predictions": [0, 1], "labels": [0', "not valid JSON"),
+        ("[[0, 1], [0, 1]]", "predictions file must be a JSON object"),
+        ('{"labels": [0, 1]}', "predictions file lacks predictions"),
+        ('{"predictions": [0, 1]}', "predictions file lacks labels"),
+        ("{}", "predictions file lacks predictions, labels"),
+    ],
+)
+def test_evaluate_bad_predictions_file_is_usage_error(tmp_path, capsys, content, message):
+    injected = tmp_path / "predictions.json"
+    injected.write_text(content)
+    code = main(
+        ["evaluate", "--predictions", str(injected), "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(injected) in err and message in err
+
+
 def test_evaluate_empty_test_partition_is_usage_error(trained, tmp_path, capsys):
     config = json.loads(Path(CONFIG).read_text())
     config["train_fraction"] = 1.0

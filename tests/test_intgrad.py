@@ -84,6 +84,15 @@ def test_integrated_gradients_zero_when_input_is_baseline(ig_params, vocab):
     assert np.all(att == 0.0)
 
 
+def test_integrated_gradients_keep_the_padded_shape(ig_params, vocab):
+    seq = encode("free money", vocab, max_len=16)
+    baseline = make_baseline(seq, vocab)
+    att = integrated_gradients(ig_params, seq, baseline, target=1, steps=4)
+    assert att.shape == (16, ig_params.config.hidden_dim)
+    assert np.all(att[seq.real_length :] == 0.0)
+    assert np.any(att[1 : seq.real_length - 1] != 0.0)
+
+
 def test_integrated_gradients_validates_geometry(ig_params, vocab):
     seq = encode("free money", vocab, max_len=8)
     other_len = encode("free money", vocab, max_len=10)

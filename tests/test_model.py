@@ -24,6 +24,7 @@ from phishlens.model import (
     save_checkpoint,
     softmax,
 )
+from phishlens.tokenizer import encode
 
 LABELS = [1, 0]
 
@@ -353,6 +354,72 @@ def test_float32_bulk_mode(toy_config, tmp_path):
     for name in params.tensors:
         assert loaded.tensors[name].dtype == np.float32
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
+
+
+def _arrays_in(node):
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _arrays_in(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _arrays_in(value)
+
+
+def test_float32_model_computes_in_float32(toy_config):
+    cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.1)
+    params = widen_parameters(init_parameters(cfg, seed=4, dtype=np.float32), seed=5)
+    out = forward(params, toy_batch(), train_mode=True, rng=np.random.default_rng(0))
+    dtypes = {a.dtype for a in _arrays_in(out.cache)}
+    assert dtypes == {np.dtype(np.float32), np.dtype(np.int64)}
+    _, grads = backward(params, toy_batch(), LABELS, rng=np.random.default_rng(0))
+    assert all(g.dtype == np.float32 for g in grads.values())
+
+    as64 = dataclasses.replace(
+        params, tensors={k: v.astype(np.float64) for k, v in params.tensors.items()}
+    )
+    logits32 = forward(params, toy_batch()).logits
+    assert logits32.dtype == np.float32
+    np.testing.assert_allclose(logits32, forward(as64, toy_batch()).logits, atol=1e-4)
+
+
+def test_collator_drops_columns_that_are_padding_in_every_row():
+    ids, mask = batch_arrays(toy_batch(max_len=16))
+    assert ids.shape == mask.shape == (2, 5)  # longest row has 5 real tokens
+    np.testing.assert_array_equal(mask.sum(axis=1), [5, 3])
+
+
+def test_trimmed_forward_equals_full_width_pass(toy_params):
+    params = widen_parameters(toy_params, seed=3)
+    batch = toy_batch(max_len=32)
+    ids = np.array([seq.input_ids for seq in batch])
+    mask = np.array([seq.attention_mask for seq in batch], dtype=np.float64)
+    full = forward_from_embeddings(params, embed(params, ids), mask)
+    assert full.cache["mask"].shape == (2, 32)
+    np.testing.assert_allclose(forward(params, batch).logits, full.logits, rtol=0, atol=1e-10)
+
+
+def test_max_len_changes_neither_logits_nor_gradients(toy_params, vocab):
+    params = widen_parameters(toy_params, seed=3)
+    texts = ["free money click now", "meeting agenda for monday"]
+    labels = [1, 0]
+    runs = []
+    for max_len in (16, 32):
+        batch = [encode(text, vocab, max_len) for text in texts]
+        out, grads = backward(params, batch, labels)
+        runs.append((forward(params, batch).logits, out.logits, grads))
+    (eval16, train16, grads16), (eval32, train32, grads32) = runs
+    np.testing.assert_array_equal(eval16, eval32)
+    np.testing.assert_array_equal(train16, train32)
+    for name in grads16:
+        np.testing.assert_array_equal(grads16[name], grads32[name], err_msg=name)
+
+
+def test_row_without_real_token_is_rejected(toy_params):
+    empty = make_seq([0] * 8, 0, 8)
+    with pytest.raises(ValueError, match="at least one real token"):
+        forward(toy_params, [toy_batch()[0], empty])
 
 
 def test_gradients_sampled_on_deeper_stack(vocab):

@@ -48,3 +48,19 @@ def test_tracer_wraps_every_binding_and_traces_forward_and_backward(toy_params, 
     assert tracer.spans[2][3] == 1  # the training forward is a child span of backward
     assert tracer.counts["model.forward_calls"] == 2
     assert [getattr(module, attr) for module, attr in bindings] == originals
+
+
+def test_tracer_counts_the_trimmed_width_of_a_train_mode_pass(toy_params, monkeypatch):
+    tracer_mod = _load_tracer(monkeypatch)
+    tracer = tracer_mod.Tracer()
+    tracer.install(phishlens)
+    try:
+        tracer.enabled = True
+        model.forward(toy_params, toy_batch(max_len=16), train_mode=True)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+
+    # two rows with 5 and 3 real tokens, padded to 16: the encoder runs 5 columns
+    assert tracer.counts["forward.positions"] == 2 * 5
+    assert tracer.counts["forward.real_tokens"] == 5 + 3
