@@ -15,22 +15,23 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
+from .corpus import LABEL_NAMES
 from .intgrad import IGConfig, word_attributions
-from .lime_text import LimeConfig, explain as lime_explain
+from .lime_text import LimeConfig, build_word_index, explain as lime_explain
 from .model import (
+    CheckpointError,
     ModelConfig,
     forward,
     init_parameters,
     load_checkpoint,
+    parameter_count,
     save_checkpoint,
 )
 from .report import comparison_csv, comparison_rows, render_explanation_html
-from .tokenizer import Vocabulary, encode, load_vocabulary
-from .training import TrainConfig, evaluate, train
+from .tokenizer import Vocabulary, VocabularyError, encode, load_vocabulary
+from .training import EpochStats, TrainConfig, evaluate, train
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
-
-CLASS_NAMES = ("Safe Email", "Phishing Email")
 
 
 class UsageError(Exception):
@@ -81,10 +82,10 @@ def _from_section(cls, config: dict, name: str, defaults=None, **overrides):
 
 
 def _model_config(config: dict, vocab: Vocabulary) -> ModelConfig:
-    section = config.get("model", {})
-    if not set(section) - {"vocab_size"}:
-        return ModelConfig.paper_scale(vocab_size=section.get("vocab_size", vocab.size))
-    return _from_section(ModelConfig, config, "model", {"vocab_size": vocab.size})
+    """The paper-scale preset, with any key of the model section overriding it."""
+    return _from_section(
+        ModelConfig, config, "model", dataclasses.asdict(ModelConfig.paper_scale(vocab.size))
+    )
 
 
 def _max_len(config: dict, model_cfg: ModelConfig) -> int:
@@ -187,47 +188,51 @@ def cmd_train(args: argparse.Namespace, config: dict) -> int:
         header.update(working.summary(seed=args.seed))
         log.write(json.dumps(header) + "\n")
         log.flush()
-        train(
+        _, epochs = train(
             params,
             parts,
             vocab,
             train_cfg,
             on_epoch=lambda s: (log.write(s.to_json_line() + "\n"), log.flush()),
         )
+    if epochs:
+        _write_plot_data(epochs, out_dir)
 
     checkpoint = out_dir / "model.phl"
     save_checkpoint(params, str(checkpoint))
     print(f"checkpoint: {checkpoint}")
     print(f"stats: {stats_path}")
-    print(f"parameters: {params.count()}")
+    print(f"parameters: {parameter_count(params.config)}")
     return EXIT_OK
 
 
-def _stats_to_csv(stats_path: Path, out_dir: Path) -> None:
-    epochs = []
-    with open(stats_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            if "epoch" in row:
-                epochs.append(row)
-    if not epochs:
-        return
+def _write_plot_data(epochs: list[EpochStats], out_dir: Path) -> None:
+    """accuracy.csv and loss.csv, one row per epoch (None when nothing was held out)."""
     acc_lines = ["epoch,train_accuracy,eval_accuracy"]
     loss_lines = ["epoch,train_loss,eval_loss"]
-    for row in epochs:
-        acc_lines.append(f"{row['epoch']},{row['train_acc']},{row['eval_acc']}")
-        loss_lines.append(f"{row['epoch']},{row['train_loss']},{row['eval_loss']}")
+    for s in epochs:
+        acc_lines.append(f"{s.epoch_index},{s.train_accuracy},{s.eval_accuracy}")
+        loss_lines.append(f"{s.epoch_index},{s.mean_train_loss},{s.mean_eval_loss}")
     (out_dir / "accuracy.csv").write_text("\n".join(acc_lines) + "\n", encoding="utf-8")
     (out_dir / "loss.csv").write_text("\n".join(loss_lines) + "\n", encoding="utf-8")
 
 
 def _load_predictions(path: str) -> tuple[list, list]:
-    """The --predictions JSON: an object with `predictions` and `labels` lists."""
+    """The --predictions JSON: an object with equally long `predictions` and
+    `labels` lists of 0s and 1s."""
     injected = _read_json_object(path, "predictions file")
     missing = [key for key in ("predictions", "labels") if key not in injected]
     if missing:
         raise UsageError(f"{path}: predictions file lacks {', '.join(missing)}")
-    return injected["predictions"], injected["labels"]
+    predictions, labels = injected["predictions"], injected["labels"]
+    for key, values in (("predictions", predictions), ("labels", labels)):
+        if not isinstance(values, list) or not values or any(
+            type(v) is not int or v not in (0, 1) for v in values
+        ):
+            raise UsageError(f"{path}: {key} must be a non-empty list of 0s and 1s")
+    if len(predictions) != len(labels):
+        raise UsageError(f"{path}: {len(predictions)} predictions but {len(labels)} labels")
+    return predictions, labels
 
 
 def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
@@ -246,29 +251,28 @@ def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
         labels = [r.label for r in parts.test.records]
 
     cm = metrics_mod.confusion(predictions, labels)
-    report_json = metrics_mod.report_to_dict(cm, CLASS_NAMES)
-    report_text = metrics_mod.report_to_text(cm, CLASS_NAMES)
+    report_json = metrics_mod.report_to_dict(cm, LABEL_NAMES)
+    report_text = metrics_mod.report_to_text(cm, LABEL_NAMES)
     (out_dir / "metrics.json").write_text(
         json.dumps(report_json, indent=2), encoding="utf-8"
     )
     (out_dir / "metrics.txt").write_text(report_text, encoding="utf-8")
     print(report_text, end="")
-
-    stats_path = Path(args.stats) if args.stats else out_dir / "train_stats.jsonl"
-    if stats_path.exists():
-        _stats_to_csv(stats_path, out_dir)
     return EXIT_OK
 
 
 def _resolve_text(args: argparse.Namespace) -> str:
+    """The --text, or corpus record --index; either must hold a word to explain."""
     if args.index is None:
-        if not args.text.strip():
-            raise UsageError("--text must be non-empty")
-        return args.text
-    loaded = corpus_mod.load_corpus(_require(args, "corpus"))
-    if not 0 <= args.index < len(loaded):
-        raise UsageError(f"--index {args.index} out of range for corpus of {len(loaded)}")
-    return loaded.records[args.index].body
+        text, source = args.text, "--text"
+    else:
+        loaded = corpus_mod.load_corpus(_require(args, "corpus"))
+        if not 0 <= args.index < len(loaded):
+            raise UsageError(f"--index {args.index} out of range for corpus of {len(loaded)}")
+        text, source = loaded.records[args.index].body, f"--index {args.index}"
+    if not len(build_word_index(text)):
+        raise UsageError(f"{source}: the text has no word to explain")
+    return text
 
 
 def _explain_both(args: argparse.Namespace, config: dict):
@@ -286,10 +290,10 @@ def _explain_both(args: argparse.Namespace, config: dict):
         for name in ("num_features", "num_samples")
         if getattr(args, name) is not None
     }
-    # the config's lime.seed beats --seed; class names are the CLI's own
+    # the config's lime.seed beats --seed; class names are the corpus labels
     lime_cfg = _from_section(
         LimeConfig, config, "lime", {"seed": args.seed},
-        **lime_flags, class_names=CLASS_NAMES,
+        **lime_flags, class_names=LABEL_NAMES,
     )
     ig_flags = {} if args.steps is None else {"steps": args.steps}
     ig_cfg = _from_section(IGConfig, config, "ig", **ig_flags)
@@ -304,12 +308,12 @@ def cmd_explain(args: argparse.Namespace, config: dict) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    html_doc = render_explanation_html(text, lime_exp, ig_record, CLASS_NAMES)
+    html_doc = render_explanation_html(text, lime_exp, ig_record, LABEL_NAMES)
     (out_dir / "explanation.html").write_text(html_doc, encoding="utf-8")
     payload = {
         "text": text,
         "predicted_class": lime_exp.target_class,
-        "predicted_class_name": CLASS_NAMES[lime_exp.target_class],
+        "predicted_class_name": LABEL_NAMES[lime_exp.target_class],
         "probability": lime_exp.predicted_probability,
         "lime": lime_exp.to_dict(),
         "ig": ig_record.to_dict(),
@@ -366,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
             balance.add_argument("--balance-after-split", action="store_true")
         if name == "evaluate":
             p.add_argument("--predictions")
-            p.add_argument("--stats")
         if name in ("explain", "compare"):
             source = p.add_mutually_exclusive_group(required=True)
             source.add_argument("--text")
@@ -395,7 +398,10 @@ def main(argv=None) -> int:
             if path is not None and not Path(path).exists():
                 raise UsageError(f"{kind} path does not exist: {path}")
         return COMMANDS[args.command](args, config)
-    except (UsageError, corpus_mod.EmptyCorpusError, FileNotFoundError) as exc:
+    except (  # bad input: each message names the file or the value
+        UsageError, FileNotFoundError, corpus_mod.EmptyCorpusError,
+        corpus_mod.CorpusFormatError, VocabularyError, CheckpointError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

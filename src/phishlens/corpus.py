@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 SAFE, PHISHING = 0, 1
-LABEL_NAMES = {SAFE: "Safe Email", PHISHING: "Phishing Email"}
-_LABEL_ALIASES = {"safe email": SAFE, "phishing email": PHISHING}
+LABEL_NAMES = ("Safe Email", "Phishing Email")  # indexed by label
+_LABEL_ALIASES = {name.lower(): label for label, name in enumerate(LABEL_NAMES)}
 
 DEFAULT_TEXT_COLUMN = "Email Text"
 DEFAULT_LABEL_COLUMN = "Email Type"
@@ -23,6 +23,10 @@ DEFAULT_LABEL_COLUMN = "Email Type"
 
 class EmptyCorpusError(ValueError):
     """Raised when a source yields zero usable records."""
+
+
+class CorpusFormatError(ValueError):
+    """Raised when a corpus file lacks the text or label column."""
 
 
 class BalanceError(ValueError):
@@ -89,9 +93,10 @@ def load_corpus(
 ) -> LabeledCorpus:
     """Read a labeled email table, dropping null-body and unknown-label rows.
 
-    Raises OSError for unreadable files and EmptyCorpusError when no row
-    survives cleaning. Unknown label strings reject the row (counted in
-    dropped_rows) without aborting the load.
+    Raises OSError for unreadable files, CorpusFormatError when a column is
+    missing, and EmptyCorpusError when no row survives cleaning. Unknown
+    label strings reject the row (counted in dropped_rows) without aborting
+    the load.
     """
     records: list[EmailRecord] = []
     dropped = 0
@@ -100,7 +105,7 @@ def load_corpus(
         if reader.fieldnames is None:
             raise EmptyCorpusError(f"{path}: empty file, no header row")
         if text_column not in reader.fieldnames or label_column not in reader.fieldnames:
-            raise ValueError(
+            raise CorpusFormatError(
                 f"{path}: expected columns {text_column!r} and {label_column!r}, "
                 f"found {reader.fieldnames}"
             )

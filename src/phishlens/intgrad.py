@@ -29,7 +29,6 @@ _CHUNK = 64  # path steps evaluated per forward/backward batch
 @dataclass
 class IGConfig:
     steps: int = 64
-    normalize: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -149,11 +148,8 @@ def word_attributions(
     raw = per_position[:n_real]
     gap = abs(float(per_position.sum()) - logit_gap)
 
-    if cfg.normalize:
-        norm = float(np.linalg.norm(raw))
-        normalized = raw / norm if norm > 0.0 else np.zeros_like(raw)
-    else:
-        normalized = raw
+    norm = float(np.linalg.norm(raw))
+    normalized = raw / norm if norm > 0.0 else np.zeros_like(raw)
     return AttributionRecord(
         tokens=seq.tokens,
         raw_scores=tuple(float(x) for x in raw),

@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import LABEL_NAMES
+
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 EXHAUSTIVE_LIMIT = 20  # 2^F samples; beyond this enumeration is a mistake
@@ -35,7 +37,7 @@ class LimeConfig:
     kernel_width: float = 25.0
     ridge_alpha: float = 1.0
     seed: int = 0
-    class_names: tuple[str, ...] = ("Safe Email", "Phishing Email")
+    class_names: tuple[str, ...] = LABEL_NAMES
     exhaustive: bool = False
 
     def __post_init__(self):
@@ -126,43 +128,41 @@ def _mask_distance(mask: np.ndarray) -> float:
     return float((1.0 - np.sqrt(n_active / mask.size)) * 100.0)
 
 
-def sample_perturbations(index: WordIndex, n: int, seed: int) -> list[Perturbation]:
-    """All-ones first, then n-1 random non-empty deactivation subsets."""
+def _perturbations(
+    index: WordIndex, draw_masks: Callable[[int], np.ndarray]
+) -> list[Perturbation]:
+    """One Perturbation per row of the (N, F) int8 mask matrix draw_masks(F)."""
     f = len(index)
     if f == 0:
         raise ValueError("cannot perturb a text with no words")
-    ones = np.ones(f, dtype=np.int8)
-    samples = [Perturbation(mask=ones, text=index.text, distance=0.0)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n - 1):
-        k = int(rng.integers(1, f + 1))
-        off = rng.choice(f, size=k, replace=False)
-        mask = ones.copy()
-        mask[off] = 0
-        samples.append(
-            Perturbation(mask=mask, text=_remove_words(index, mask), distance=_mask_distance(mask))
-        )
-    return samples
+    return [
+        Perturbation(mask=mask, text=_remove_words(index, mask), distance=_mask_distance(mask))
+        for mask in draw_masks(f)
+    ]
+
+
+def sample_perturbations(index: WordIndex, n: int, seed: int) -> list[Perturbation]:
+    """All-ones first, then n-1 random non-empty deactivation subsets."""
+
+    def draw(f: int) -> np.ndarray:
+        masks = np.ones((n, f), dtype=np.int8)
+        rng = np.random.default_rng(seed)
+        for mask in masks[1:]:
+            k = int(rng.integers(1, f + 1))
+            mask[rng.choice(f, size=k, replace=False)] = 0
+        return masks
+
+    return _perturbations(index, draw)
 
 
 def enumerate_perturbations(index: WordIndex) -> list[Perturbation]:
     """Every one of the 2^F masks, all-ones first (for oracle-grade fits)."""
-    f = len(index)
-    if f == 0:
-        raise ValueError("cannot perturb a text with no words")
-    if f > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"refusing to enumerate 2^{f} masks")
-    samples = []
-    for bits in itertools.product((1, 0), repeat=f):
-        mask = np.array(bits, dtype=np.int8)
-        samples.append(
-            Perturbation(
-                mask=mask,
-                text=index.text if mask.all() else _remove_words(index, mask),
-                distance=_mask_distance(mask),
-            )
-        )
-    return samples
+    if len(index) > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"refusing to enumerate 2^{len(index)} masks")
+    return _perturbations(
+        index,
+        lambda f: np.array(list(itertools.product((1, 0), repeat=f)), dtype=np.int8),
+    )
 
 
 def kernel_weight(distance: float, width: float) -> float:

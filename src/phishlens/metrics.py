@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple, Sequence
 
-DEFAULT_CLASS_NAMES = ("Safe Email", "Phishing Email")
+from .corpus import LABEL_NAMES
+
+DEFAULT_CLASS_NAMES = LABEL_NAMES
 
 
 class Rate(NamedTuple):
@@ -45,10 +47,6 @@ class ConfusionMatrix:
 
     def tp(self, positive: int) -> int:
         return self.table[positive][positive]
-
-    def tn(self, positive: int) -> int:
-        neg = 1 - positive
-        return self.table[neg][neg]
 
     def fp(self, positive: int) -> int:
         neg = 1 - positive

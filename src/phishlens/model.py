@@ -126,9 +126,6 @@ class ModelParameters:
     config: ModelConfig
     tensors: dict[str, np.ndarray]
 
-    def count(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def copy(self) -> "ModelParameters":
         return ModelParameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
@@ -549,9 +546,7 @@ def save_checkpoint(params: ModelParameters, path: str) -> None:
             fh.write(blob)
 
 
-def load_checkpoint(
-    path: str, expected_config: ModelConfig | None = None
-) -> tuple[ModelParameters, ModelConfig]:
+def load_checkpoint(path: str) -> tuple[ModelParameters, ModelConfig]:
     """Read and validate a checkpoint; round-trips save_checkpoint bit-exactly."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -570,10 +565,6 @@ def load_checkpoint(
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
 
-    if expected_config is not None and expected_config != config:
-        raise CheckpointError(
-            f"{path}: checkpoint config {config} does not match expected {expected_config}"
-        )
     expected_shapes = parameter_shapes(config)
     if set(table) != set(expected_shapes):
         raise CheckpointError(f"{path}: tensor table does not match config")

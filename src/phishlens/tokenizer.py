@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from dataclasses import dataclass
 
@@ -40,9 +39,6 @@ class Vocabulary:
     @property
     def sep_id(self) -> int:
         return self.token_to_id[SEP]
-
-    def dump_json(self) -> str:
-        return json.dumps([{"token": t, "id": i} for i, t in enumerate(self.id_to_token)])
 
 
 @dataclass(frozen=True)

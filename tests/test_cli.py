@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from phishlens.cli import EXIT_OK, EXIT_USAGE, main
+from phishlens.model import load_checkpoint
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "fixture_emails.csv")
@@ -38,6 +39,11 @@ def test_train_writes_checkpoint_and_stats(trained):
     summary = json.loads((trained / "corpus_summary.json").read_text())
     assert summary["loaded"]["counts"] == {"Safe Email": 4, "Phishing Email": 2}
     assert summary["train_size"] == 4 and summary["test_size"] == 2
+    acc_csv = (trained / "accuracy.csv").read_text().strip().split("\n")
+    assert acc_csv[0] == "epoch,train_accuracy,eval_accuracy"
+    assert len(acc_csv) == 4  # header + 3 epochs
+    loss_csv = (trained / "loss.csv").read_text().strip().split("\n")
+    assert loss_csv[0] == "epoch,train_loss,eval_loss"
 
 
 def test_train_balance_flag_header_counts(tmp_path):
@@ -65,24 +71,21 @@ def test_train_missing_vocab_is_usage_error(tmp_path, capsys):
     assert "/no/such/vocab.txt" in capsys.readouterr().err
 
 
-def test_evaluate_writes_metrics_and_plot_data(trained, capsys):
+def test_evaluate_writes_metrics_and_plot_data(trained, tmp_path, capsys):
     code = main(
         [
             "evaluate", "--corpus", CORPUS, "--vocab", VOCAB,
             "--checkpoint", str(trained / "model.phl"), "--config", CONFIG,
-            "--seed", "5", "--out-dir", str(trained),
+            "--seed", "5", "--out-dir", str(tmp_path),
         ]
     )
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "Accuracy:" in out
-    metrics = json.loads((trained / "metrics.json").read_text())
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert set(metrics) >= {"confusion", "per_class", "accuracy"}
-    acc_csv = (trained / "accuracy.csv").read_text().strip().split("\n")
-    assert acc_csv[0] == "epoch,train_accuracy,eval_accuracy"
-    assert len(acc_csv) == 4  # header + 3 epochs
-    loss_csv = (trained / "loss.csv").read_text().strip().split("\n")
-    assert loss_csv[0] == "epoch,train_loss,eval_loss"
+    # the plot data is train's: evaluate into a fresh directory writes none
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_evaluate_golden_balanced_confusion(tmp_path, capsys):
@@ -136,6 +139,11 @@ def test_evaluate_golden_imbalanced_confusion(tmp_path, capsys):
         ('{"labels": [0, 1]}', "predictions file lacks predictions"),
         ('{"predictions": [0, 1]}', "predictions file lacks labels"),
         ("{}", "predictions file lacks predictions, labels"),
+        ('{"predictions": [0, 1], "labels": [0]}', "2 predictions but 1 labels"),
+        ('{"predictions": [0, 2], "labels": [0, 1]}', "predictions must be a non-empty list"),
+        ('{"predictions": [0, 1], "labels": ["0", "1"]}', "labels must be a non-empty list"),
+        ('{"predictions": 5, "labels": [0, 1]}', "predictions must be a non-empty list"),
+        ('{"predictions": [], "labels": []}', "predictions must be a non-empty list"),
     ],
 )
 def test_evaluate_bad_predictions_file_is_usage_error(tmp_path, capsys, content, message):
@@ -184,13 +192,26 @@ def test_explain_produces_html_and_json(trained, tmp_path):
 
 
 def test_explain_empty_text_is_usage_error(trained, tmp_path, capsys):
-    code = main(
-        [
-            "explain", "--vocab", VOCAB, "--checkpoint", str(trained / "model.phl"),
-            "--config", CONFIG, "--text", "   ", "--out-dir", str(tmp_path),
-        ]
+    corpus = tmp_path / "emails.csv"  # record 1 is made only of punctuation
+    corpus.write_text(
+        'Email Text,Email Type\nhello there,Safe Email\n"!!! ???",Phishing Email\n',
+        encoding="utf-8",
     )
-    assert code == EXIT_USAGE
+    for command, source in (
+        ("explain", ["--text", "   "]),
+        ("explain", ["--text", "!!! ???"]),
+        ("compare", ["--text", "!!! ???"]),
+        ("explain", ["--index", "1"]),
+    ):
+        code = main(
+            [
+                command, "--vocab", VOCAB, "--checkpoint", str(trained / "model.phl"),
+                "--config", CONFIG, "--corpus", str(corpus), "--out-dir", str(tmp_path),
+            ]
+            + source
+        )
+        assert code == EXIT_USAGE, (command, source)
+        assert "no word to explain" in capsys.readouterr().err
 
 
 def test_explain_requires_text_or_index(trained, tmp_path):
@@ -485,3 +506,42 @@ def test_malformed_config_file_is_usage_error(
     assert message in err
     if patch is None:
         assert str(cfg_path) in err
+
+
+def test_partial_model_section_fills_from_the_preset(tmp_path):
+    config = json.loads(Path(CONFIG).read_text())
+    config["model"] = {"num_layers": 1, "hidden_dim": 16, "num_heads": 2, "ffn_dim": 32}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(
+        [
+            "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+            "--seed", "5", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    _, model_cfg = load_checkpoint(str(tmp_path / "model.phl"))
+    assert model_cfg.max_positions == 512  # the paper-scale preset's value
+    assert model_cfg.hidden_dim == 16
+
+
+@pytest.mark.parametrize("kind", ["corpus", "vocab", "checkpoint"])
+def test_malformed_input_file_is_usage_error(trained, tmp_path, capsys, kind):
+    bad = tmp_path / f"bad_{kind}"
+    if kind == "corpus":  # neither the Email Text nor the Email Type column
+        bad.write_text("body,label\nhello there,Safe Email\n", encoding="utf-8")
+    elif kind == "vocab":  # [PAD] twice
+        bad.write_text(Path(VOCAB).read_text(encoding="utf-8") + "[PAD]\n", encoding="utf-8")
+    else:
+        bad.write_bytes(b"XXXX" + (trained / "model.phl").read_bytes()[4:])
+    paths = {"corpus": CORPUS, "vocab": VOCAB, "checkpoint": str(trained / "model.phl")}
+    paths[kind] = str(bad)
+    code = main(
+        [
+            "evaluate", "--corpus", paths["corpus"], "--vocab", paths["vocab"],
+            "--checkpoint", paths["checkpoint"], "--config", CONFIG,
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err

@@ -148,13 +148,6 @@ def test_word_attributions_normalization_contract(ig_params, vocab):
     )
 
 
-def test_word_attributions_normalize_off(ig_params, vocab):
-    record = word_attributions(
-        "free prize", ig_params, vocab, IGConfig(steps=4, normalize=False), max_len=8
-    )
-    assert record.normalized_scores == record.raw_scores
-
-
 def test_word_attributions_special_positions_zero(ig_params, vocab):
     # [CLS]/[SEP] match the baseline exactly, so their attributions vanish
     record = word_attributions("urgent", ig_params, vocab, IGConfig(steps=8), max_len=8)

@@ -188,11 +188,3 @@ def test_randomized_invariants(vocab):
                 idx += 1
             assert rebuilt == word
         assert idx == len(pieces)
-
-
-def test_token_dump_json(vocab):
-    import json
-
-    dump = json.loads(vocab.dump_json())
-    assert dump[0] == {"token": "[PAD]", "id": 0}
-    assert len(dump) == vocab.size
