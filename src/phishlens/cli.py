@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from .tokenizer import Vocabulary, VocabularyError, encode, load_vocabulary
 from .training import EpochStats, TrainConfig, evaluate, train
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
+BALANCE_MODES = ("none", "before_split", "after_split")
 
 
 class UsageError(Exception):
@@ -43,6 +45,16 @@ def _require(args: argparse.Namespace, kind: str) -> str:
     if path is None:
         raise UsageError(f"--{kind} is required for '{args.command}'")
     return path
+
+
+def _require_file(kind: str, path: str | None) -> None:
+    if path is not None and not Path(path).is_file():
+        state = "is not a file" if Path(path).exists() else "does not exist"
+        raise UsageError(f"{kind} path {state}: {path}")
+
+
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -111,21 +123,27 @@ def _check_vocab_size(vocab: Vocabulary, model_cfg: ModelConfig) -> None:
         )
 
 
-def _train_config(
-    args: argparse.Namespace, config: dict, model_cfg: ModelConfig
-) -> TrainConfig:
+def _train_config(config: dict, model_cfg: ModelConfig, **overrides) -> TrainConfig:
     return _from_section(
-        TrainConfig, config, "train",
-        max_len=_max_len(config, model_cfg), shuffle_seed=args.seed,
+        TrainConfig, config, "train", max_len=_max_len(config, model_cfg), **overrides
     )
 
 
 def _load_model(args: argparse.Namespace):
-    """Vocabulary and checkpoint, refused unless their sizes agree."""
-    vocab = load_vocabulary(_require(args, "vocab"))
-    params, model_cfg = load_checkpoint(_require(args, "checkpoint"))
-    _check_vocab_size(vocab, model_cfg)
-    return vocab, params, model_cfg
+    """Vocabulary, parameters and the checkpoint's record, refused unless the
+    vocabulary is the one the model was trained with."""
+    vocab_path, checkpoint = _require(args, "vocab"), _require(args, "checkpoint")
+    vocab = load_vocabulary(vocab_path)
+    params, record = load_checkpoint(checkpoint)
+    # the size check is all that a checkpoint without a record allows
+    _check_vocab_size(vocab, params.config)
+    recorded = record.get("vocab_sha256")
+    if recorded is not None and _sha256(vocab_path) != recorded:
+        raise UsageError(
+            f"{vocab_path} is not the vocabulary {checkpoint} was trained with "
+            "(sha256 differs)"
+        )
+    return vocab, params, record
 
 
 def _dtype(config: dict):
@@ -135,38 +153,77 @@ def _dtype(config: dict):
     return np.float32 if name == "float32" else np.float64
 
 
-def _prepare_partitions(args: argparse.Namespace, config: dict):
-    """Load, optionally balance, and split.
+def _prepare_partitions(corpus_path: str, seed: int, fraction: float, balance: str):
+    """Load, optionally balance, and split: (loaded, balanced or None, parts).
 
-    --balance oversamples before the split (the order the evaluation
-    numbers assume, at the cost of duplicates straddling the split);
-    --balance-after-split oversamples the train partition only, keeping the
-    test partition free of duplicated minority records.
+    `balance` is one of BALANCE_MODES. "before_split" oversamples before the
+    split (the order the evaluation numbers assume, at the cost of duplicates
+    straddling the split); "after_split" oversamples the train partition
+    only, keeping the test partition free of duplicated minority records.
     """
-    loaded = corpus_mod.load_corpus(_require(args, "corpus"))
+    loaded = corpus_mod.load_corpus(corpus_path)
     balanced = None
     working = loaded
-    if args.balance:
-        working = corpus_mod.oversample_minority(working, seed=args.seed)
-        balanced = working
-    fraction = config.get("train_fraction", 0.7)
-    parts = corpus_mod.split(working, fraction, seed=args.seed)
-    if args.balance_after_split:
-        balanced_train = corpus_mod.oversample_minority(parts.train, seed=args.seed)
-        parts = dataclasses.replace(parts, train=balanced_train)
-        balanced = corpus_mod.LabeledCorpus.from_records(
-            list(balanced_train.records) + list(parts.test.records),
-            dropped_rows=loaded.dropped_rows,
-        )
+    try:
+        if balance == "before_split":
+            working = balanced = corpus_mod.oversample_minority(loaded, seed=seed)
+        parts = corpus_mod.split(working, fraction, seed=seed)
+        if balance == "after_split":
+            balanced_train = corpus_mod.oversample_minority(parts.train, seed=seed)
+            parts = dataclasses.replace(parts, train=balanced_train)
+            balanced = corpus_mod.LabeledCorpus.from_records(
+                list(balanced_train.records) + list(parts.test.records),
+                dropped_rows=loaded.dropped_rows,
+            )
+    except corpus_mod.BalanceError as exc:
+        raise UsageError(f"{corpus_path}: {exc}") from exc
     return loaded, balanced, parts
 
 
+def _recorded_split(record: dict, corpus_path: str, checkpoint: str):
+    """The (seed, train_fraction, balance) that train recorded, refused unless
+    `corpus_path` is the corpus it split."""
+    split = record.get("split")
+    if split is None:
+        raise UsageError(
+            f"{checkpoint} has no split record; evaluate needs a checkpoint written by train"
+        )
+    try:
+        digest = split["corpus_sha256"]
+        seed, fraction, balance = split["seed"], split["train_fraction"], split["balance"]
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"{checkpoint}: unreadable split record ({exc!r})") from exc
+    if balance not in BALANCE_MODES:
+        raise UsageError(f"{checkpoint}: unknown balance mode {balance!r} in split record")
+    if _sha256(corpus_path) != digest:
+        raise UsageError(
+            f"{corpus_path} is not the corpus {checkpoint} was trained on (sha256 differs)"
+        )
+    return seed, fraction, balance
+
+
 def cmd_train(args: argparse.Namespace, config: dict) -> int:
-    vocab = load_vocabulary(_require(args, "vocab"))
-    loaded, balanced, parts = _prepare_partitions(args, config)
+    vocab_path, corpus_path = _require(args, "vocab"), _require(args, "corpus")
+    vocab = load_vocabulary(vocab_path)
+    fraction = config.get("train_fraction", 0.7)
+    balance = (
+        "before_split" if args.balance
+        else "after_split" if args.balance_after_split else "none"
+    )
+    # evaluate rebuilds the test partition from this record
+    record = {
+        "vocab_sha256": _sha256(vocab_path),
+        "split": {
+            "corpus_sha256": _sha256(corpus_path),
+            "seed": args.seed,
+            "train_fraction": fraction,
+            "balance": balance,
+        },
+    }
+    loaded, balanced, parts = _prepare_partitions(corpus_path, args.seed, fraction, balance)
     model_cfg = _model_config(config, vocab)
     _check_vocab_size(vocab, model_cfg)
-    train_cfg = _train_config(args, config, model_cfg)
+    train_cfg = _train_config(config, model_cfg, shuffle_seed=args.seed)
     params = init_parameters(model_cfg, seed=args.seed, dtype=_dtype(config))
 
     out_dir = Path(args.out_dir)
@@ -199,7 +256,7 @@ def cmd_train(args: argparse.Namespace, config: dict) -> int:
         _write_plot_data(epochs, out_dir)
 
     checkpoint = out_dir / "model.phl"
-    save_checkpoint(params, str(checkpoint))
+    save_checkpoint(params, str(checkpoint), record)
     print(f"checkpoint: {checkpoint}")
     print(f"stats: {stats_path}")
     print(f"parameters: {parameter_count(params.config)}")
@@ -242,12 +299,17 @@ def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
     if args.predictions is not None:
         predictions, labels = _load_predictions(args.predictions)
     else:
-        vocab, params, model_cfg = _load_model(args)
-        train_cfg = _train_config(args, config, model_cfg)
-        _, _, parts = _prepare_partitions(args, config)
+        vocab, params, record = _load_model(args)
+        eval_cfg = _train_config(config, params.config)
+        corpus_path, checkpoint = _require(args, "corpus"), args.checkpoint
+        seed, fraction, balance = _recorded_split(record, corpus_path, checkpoint)
+        _, _, parts = _prepare_partitions(corpus_path, seed, fraction, balance)
         if len(parts.test) == 0:
-            raise UsageError("test partition is empty; lower train_fraction")
-        _, predictions = evaluate(params, parts.test, vocab, train_cfg)
+            raise UsageError(
+                f"{checkpoint}: its recorded split (train_fraction {fraction}) "
+                f"holds no email of {corpus_path} out"
+            )
+        _, predictions = evaluate(params, parts.test, vocab, eval_cfg)
         labels = [r.label for r in parts.test.records]
 
     cm = metrics_mod.confusion(predictions, labels)
@@ -276,8 +338,8 @@ def _resolve_text(args: argparse.Namespace) -> str:
 
 
 def _explain_both(args: argparse.Namespace, config: dict):
-    vocab, params, model_cfg = _load_model(args)
-    max_len = _max_len(config, model_cfg)
+    vocab, params, _ = _load_model(args)
+    max_len = _max_len(config, params.config)
     text = _resolve_text(args)
 
     def classifier(sample_text: str):
@@ -360,11 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vocab")
         p.add_argument("--config")
         p.add_argument("--corpus")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default="out")
+        if name != "evaluate":  # evaluate takes the seed from the checkpoint
+            p.add_argument("--seed", type=int, default=0)
         if name != "train":
             p.add_argument("--checkpoint")
-        if name in ("train", "evaluate"):
+        if name == "train":
             balance = p.add_mutually_exclusive_group()
             balance.add_argument("--balance", action="store_true")
             balance.add_argument("--balance-after-split", action="store_true")
@@ -386,17 +449,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
         return exc.code
     try:
+        _require_file("config", args.config)
         config = _load_config_file(args.config)
         # config "paths" fill only the flags this command has and left unset
         paths = config.get("paths", {})
         for kind in ("corpus", "vocab", "checkpoint"):
             if kind in vars(args) and getattr(args, kind) is None:
                 setattr(args, kind, paths.get(kind))
-        # a missing --config has already failed to open
         for kind in ("corpus", "vocab", "checkpoint", "predictions"):
-            path = getattr(args, kind, None)
-            if path is not None and not Path(path).exists():
-                raise UsageError(f"{kind} path does not exist: {path}")
+            _require_file(kind, getattr(args, kind, None))
         return COMMANDS[args.command](args, config)
     except (  # bad input: each message names the file or the value
         UsageError, FileNotFoundError, corpus_mod.EmptyCorpusError,

@@ -94,32 +94,35 @@ def load_corpus(
     """Read a labeled email table, dropping null-body and unknown-label rows.
 
     Raises OSError for unreadable files, CorpusFormatError when a column is
-    missing, and EmptyCorpusError when no row survives cleaning. Unknown
-    label strings reject the row (counted in dropped_rows) without aborting
-    the load.
+    missing or the file is not UTF-8, and EmptyCorpusError when no row
+    survives cleaning. Unknown label strings reject the row (counted in
+    dropped_rows) without aborting the load.
     """
     records: list[EmailRecord] = []
     dropped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyCorpusError(f"{path}: empty file, no header row")
-        if text_column not in reader.fieldnames or label_column not in reader.fieldnames:
-            raise CorpusFormatError(
-                f"{path}: expected columns {text_column!r} and {label_column!r}, "
-                f"found {reader.fieldnames}"
-            )
-        for row in reader:
-            body = row.get(text_column)
-            raw_label = row.get(label_column)
-            if _is_null_body(body) or raw_label is None:
-                dropped += 1
-                continue
-            label = _LABEL_ALIASES.get(raw_label.strip().lower())
-            if label is None:
-                dropped += 1
-                continue
-            records.append(EmailRecord(body=body, label=label))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise EmptyCorpusError(f"{path}: empty file, no header row")
+            if text_column not in reader.fieldnames or label_column not in reader.fieldnames:
+                raise CorpusFormatError(
+                    f"{path}: expected columns {text_column!r} and {label_column!r}, "
+                    f"found {reader.fieldnames}"
+                )
+            for row in reader:
+                body = row.get(text_column)
+                raw_label = row.get(label_column)
+                if _is_null_body(body) or raw_label is None:
+                    dropped += 1
+                    continue
+                label = _LABEL_ALIASES.get(raw_label.strip().lower())
+                if label is None:
+                    dropped += 1
+                    continue
+                records.append(EmailRecord(body=body, label=label))
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not records:
         raise EmptyCorpusError(f"{path}: zero usable rows after cleaning")
     return LabeledCorpus.from_records(records, dropped_rows=dropped)

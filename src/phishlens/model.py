@@ -9,8 +9,10 @@ constants are Python floats, which never promote an array).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -21,6 +23,7 @@ from scipy.special import erf
 from .tokenizer import TokenSequence
 
 MAGIC = b"PHL1"
+RECORD_KEY = "record"  # header key of the caller's record, stored verbatim
 NEG_INF = -1e9  # additive pre-softmax mask; underflows to exact 0 after exp
 LN_EPS = 1e-12
 
@@ -521,8 +524,13 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
 # --------------------------------------------------------------- checkpoint
 
 
-def save_checkpoint(params: ModelParameters, path: str) -> None:
-    """Write magic, length-prefixed JSON header, then raw little-endian tensors."""
+def save_checkpoint(params: ModelParameters, path: str, record: dict | None = None) -> None:
+    """Write magic, length-prefixed JSON header, then raw little-endian tensors.
+
+    `record`, if given, is stored verbatim in the header for load_checkpoint
+    to hand back. The file is written beside `path` under a temporary name
+    and moved into place, so a failed write leaves any previous file intact.
+    """
     table = {}
     offset = 0
     blobs = []
@@ -537,17 +545,31 @@ def save_checkpoint(params: ModelParameters, path: str) -> None:
         }
         blobs.append(blob)
         offset += len(blob)
-    header = json.dumps({"config": asdict(params.config), "tensors": table}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    header = {"config": asdict(params.config), "tensors": table}
+    if record is not None:
+        header[RECORD_KEY] = record
+    header_bytes = json.dumps(header).encode("utf-8")
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
 
 
-def load_checkpoint(path: str) -> tuple[ModelParameters, ModelConfig]:
-    """Read and validate a checkpoint; round-trips save_checkpoint bit-exactly."""
+def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
+    """Read and validate a checkpoint: (parameters, record).
+
+    Round-trips save_checkpoint bit-exactly; a file saved without a record
+    loads with {}.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -562,8 +584,11 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, ModelConfig]:
         header = json.loads(raw[8:header_end].decode("utf-8"))
         config = ModelConfig(**header["config"])
         table = header["tensors"]
+        record = header.get(RECORD_KEY, {})
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(record, dict):
+        raise CheckpointError(f"{path}: header {RECORD_KEY!r} must be a JSON object")
 
     expected_shapes = parameter_shapes(config)
     if set(table) != set(expected_shapes):
@@ -585,4 +610,4 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, ModelConfig]:
         tensors[name] = np.frombuffer(
             data, dtype=dtype, count=int(np.prod(shape)), offset=start
         ).reshape(shape).copy()
-    return ModelParameters(config=config, tensors=tensors), config
+    return ModelParameters(config=config, tensors=tensors), record

@@ -57,12 +57,15 @@ class TokenSequence:
 def load_vocabulary(path: str) -> Vocabulary:
     """One token per line; 0-based line number is the token id."""
     tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            token = line.rstrip("\r\n")
-            if not token:
-                raise VocabularyError(f"{path}: blank line at id {len(tokens)}")
-            tokens.append(token)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                token = line.rstrip("\r\n")
+                if not token:
+                    raise VocabularyError(f"{path}: blank line at id {len(tokens)}")
+                tokens.append(token)
+    except UnicodeDecodeError as exc:
+        raise VocabularyError(f"{path}: not UTF-8 text ({exc})") from exc
     token_to_id = {tok: i for i, tok in enumerate(tokens)}
     if len(token_to_id) != len(tokens):
         raise VocabularyError(f"{path}: duplicate tokens present")

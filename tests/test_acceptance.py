@@ -263,7 +263,7 @@ def test_criterion_9_end_to_end(tmp_path):
     assert cli_main(
         ["evaluate", "--corpus", corpus_path, "--vocab", vocab_path,
          "--checkpoint", str(out / "model.phl"), "--config", config_path,
-         "--seed", "5", "--out-dir", str(out)]
+         "--out-dir", str(out)]
     ) == 0
     assert (out / "metrics.json").exists() and (out / "metrics.txt").exists()
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import synthetic_corpus
 from phishlens.cli import EXIT_OK, EXIT_USAGE, main
-from phishlens.model import load_checkpoint
+from phishlens.corpus import LABEL_NAMES, EmailRecord
+from phishlens.model import load_checkpoint, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "fixture_emails.csv")
@@ -76,7 +79,7 @@ def test_evaluate_writes_metrics_and_plot_data(trained, tmp_path, capsys):
         [
             "evaluate", "--corpus", CORPUS, "--vocab", VOCAB,
             "--checkpoint", str(trained / "model.phl"), "--config", CONFIG,
-            "--seed", "5", "--out-dir", str(tmp_path),
+            "--out-dir", str(tmp_path),
         ]
     )
     assert code == EXIT_OK
@@ -157,19 +160,154 @@ def test_evaluate_bad_predictions_file_is_usage_error(tmp_path, capsys, content,
     assert str(injected) in err and message in err
 
 
-def test_evaluate_empty_test_partition_is_usage_error(trained, tmp_path, capsys):
+def test_evaluate_empty_test_partition_is_usage_error(tmp_path, capsys):
     config = json.loads(Path(CONFIG).read_text())
     config["train_fraction"] = 1.0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
+    assert main(
+        [
+            "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+            "--out-dir", str(tmp_path),
+        ]
+    ) == EXIT_OK
     code = main(
         [
             "evaluate", "--corpus", CORPUS, "--vocab", VOCAB,
-            "--checkpoint", str(trained / "model.phl"), "--config", str(cfg_path),
+            "--checkpoint", str(tmp_path / "model.phl"), "--config", CONFIG,
             "--out-dir", str(tmp_path),
         ]
     )
     assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "model.phl") in err and "holds no email" in err
+
+
+def _write_corpus(path, records):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["Email Text", "Email Type"])
+        for rec in records:
+            writer.writerow([rec.body, LABEL_NAMES[rec.label]])
+
+
+def _noisy_corpus(path):
+    """36 emails, 2 safe to 1 phishing, every 5th label flipped, so a toy
+    model scores held-out emails differently from the ones it trained on."""
+    records = [
+        rec for i, rec in enumerate(synthetic_corpus(48, seed=13).records)
+        if i % 4 != 1  # drop half of the phishing emails
+    ]
+    for i in range(0, len(records), 5):
+        records[i] = EmailRecord(body=records[i].body, label=1 - records[i].label)
+    _write_corpus(path, records)
+
+
+@pytest.mark.parametrize(
+    "train_flags",
+    [["--seed", "0"], ["--seed", "5"], ["--seed", "0", "--balance-after-split"],
+     ["--seed", "0", "--balance"]],
+    ids=["seed0", "seed5", "balance-after-split", "balance"],
+)
+def test_evaluate_scores_exactly_the_partition_train_held_out(tmp_path, train_flags):
+    corpus = tmp_path / "emails.csv"
+    _noisy_corpus(corpus)
+    config = json.loads(Path(CONFIG).read_text())
+    config["train"].update(epochs=10, learning_rate=0.01)  # fit the train part
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    common = [
+        "--corpus", str(corpus), "--vocab", VOCAB, "--config", str(cfg_path),
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(["train"] + common + train_flags) == EXIT_OK
+    assert main(
+        ["evaluate", "--checkpoint", str(tmp_path / "model.phl")] + common
+    ) == EXIT_OK
+    last_epoch = json.loads(
+        (tmp_path / "train_stats.jsonl").read_text().strip().split("\n")[-1]
+    )
+    summary = json.loads((tmp_path / "corpus_summary.json").read_text())
+    confusion = json.loads((tmp_path / "metrics.json").read_text())["confusion"]
+    total = sum(sum(row) for row in confusion)
+    correct = confusion[0][0] + confusion[1][1]
+    assert total == summary["test_size"]
+    assert correct / total == last_epoch["eval_acc"]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda record: record.pop("split"), "no split record"),
+        (lambda record: record["split"].pop("seed"), "unreadable split record"),
+        (
+            lambda record: record["split"].update(balance="sideways"),
+            "unknown balance mode 'sideways'",
+        ),
+    ],
+    ids=["missing", "no-seed", "unknown-balance"],
+)
+def test_evaluate_checkpoint_without_usable_split_record_is_usage_error(
+    trained, tmp_path, capsys, edit, message
+):
+    params, record = load_checkpoint(str(trained / "model.phl"))
+    edit(record)
+    edited = tmp_path / "edited.phl"
+    save_checkpoint(params, str(edited), record)
+    code = main(
+        [
+            "evaluate", "--corpus", CORPUS, "--vocab", VOCAB, "--checkpoint", str(edited),
+            "--config", CONFIG, "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(edited) in err and message in err
+
+
+def test_evaluate_other_corpus_than_trained_on_is_usage_error(trained, tmp_path, capsys):
+    other = tmp_path / "emails.csv"  # the same emails, one more row
+    other.write_text(
+        Path(CORPUS).read_text(encoding="utf-8") + '"see you at lunch","Safe Email"\n',
+        encoding="utf-8",
+    )
+    checkpoint = str(trained / "model.phl")
+    code = main(
+        [
+            "evaluate", "--corpus", str(other), "--vocab", VOCAB,
+            "--checkpoint", checkpoint, "--config", CONFIG, "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(other) in err and checkpoint in err and "sha256" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain", "compare"])
+def test_vocab_other_than_trained_with_is_usage_error(trained, tmp_path, capsys, command):
+    lines = Path(VOCAB).read_text(encoding="utf-8").splitlines()
+    lines[-1] += "x"  # same size, one token renamed
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(_inference_args(command, trained, str(vocab), CONFIG, tmp_path))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(vocab) in err and str(trained / "model.phl") in err and "sha256" in err
+
+
+@pytest.mark.parametrize("flag", ["--balance", "--balance-after-split"])
+def test_balancing_a_one_class_corpus_is_usage_error(tmp_path, capsys, flag):
+    corpus = tmp_path / "safe_only.csv"
+    _write_corpus(corpus, [r for r in synthetic_corpus(12, seed=2).records if r.label == 0])
+    code = main(
+        [
+            "train", "--corpus", str(corpus), "--vocab", VOCAB, "--config", CONFIG,
+            flag, "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(corpus) in err and "cannot balance" in err
 
 
 def test_explain_produces_html_and_json(trained, tmp_path):
@@ -333,11 +471,13 @@ def test_balance_flags_mutually_exclusive(tmp_path, capsys):
 def _inference_args(command, trained, vocab, config, out_dir):
     args = [
         command, "--vocab", vocab, "--checkpoint", str(trained / "model.phl"),
-        "--config", config, "--seed", "5", "--out-dir", str(out_dir),
+        "--config", config, "--out-dir", str(out_dir),
     ]
     if command == "evaluate":
         return args + ["--corpus", CORPUS]
-    return args + ["--text", PHISH_TEXT, "--num-samples", "20", "--steps", "4"]
+    return args + [
+        "--seed", "5", "--text", PHISH_TEXT, "--num-samples", "20", "--steps", "4",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -377,7 +517,7 @@ def test_evaluate_without_config_uses_checkpoint_max_positions(trained, tmp_path
     code = main(
         [
             "evaluate", "--corpus", CORPUS, "--vocab", VOCAB,
-            "--checkpoint", str(trained / "model.phl"), "--seed", "5",
+            "--checkpoint", str(trained / "model.phl"),
             "--out-dir", str(tmp_path),
         ]
     )
@@ -434,6 +574,9 @@ def _command_args(command, trained, config, out_dir):
         ("evaluate", ["--steps", "4"]),
         ("explain", ["--balance"]),
         ("compare", ["--balance-after-split"]),
+        ("evaluate", ["--seed", "5"]),
+        ("evaluate", ["--balance"]),
+        ("evaluate", ["--balance-after-split"]),
     ],
 )
 def test_flag_the_command_does_not_take_is_usage_error(
@@ -451,8 +594,8 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
-    common = ["--config", str(cfg_path), "--seed", "5", "--out-dir", str(tmp_path)]
-    assert main(["train"] + common) == EXIT_OK
+    common = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    assert main(["train"] + common + ["--seed", "5"]) == EXIT_OK
     assert main(["evaluate"] + common) == EXIT_OK
     assert (tmp_path / "metrics.json").exists()
 
@@ -520,28 +663,42 @@ def test_partial_model_section_fills_from_the_preset(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    _, model_cfg = load_checkpoint(str(tmp_path / "model.phl"))
+    params, _ = load_checkpoint(str(tmp_path / "model.phl"))
+    model_cfg = params.config
     assert model_cfg.max_positions == 512  # the paper-scale preset's value
     assert model_cfg.hidden_dim == 16
 
 
-@pytest.mark.parametrize("kind", ["corpus", "vocab", "checkpoint"])
-def test_malformed_input_file_is_usage_error(trained, tmp_path, capsys, kind):
+@pytest.mark.parametrize(
+    "case",
+    [
+        "corpus", "vocab", "checkpoint", "latin1-corpus", "latin1-vocab",
+        "directory-corpus", "directory-vocab", "directory-checkpoint",
+        "directory-predictions", "directory-config",
+    ],
+)
+def test_malformed_input_file_is_usage_error(trained, tmp_path, capsys, case):
+    defect, _, kind = case.rpartition("-")
     bad = tmp_path / f"bad_{kind}"
-    if kind == "corpus":  # neither the Email Text nor the Email Type column
+    if defect == "directory":
+        bad.mkdir()
+    elif defect == "latin1":  # "café" in Latin-1 is not UTF-8
+        good = CORPUS if kind == "corpus" else VOCAB
+        bad.write_bytes(Path(good).read_bytes() + "café\n".encode("latin-1"))
+    elif kind == "corpus":  # neither the Email Text nor the Email Type column
         bad.write_text("body,label\nhello there,Safe Email\n", encoding="utf-8")
     elif kind == "vocab":  # [PAD] twice
         bad.write_text(Path(VOCAB).read_text(encoding="utf-8") + "[PAD]\n", encoding="utf-8")
     else:
         bad.write_bytes(b"XXXX" + (trained / "model.phl").read_bytes()[4:])
-    paths = {"corpus": CORPUS, "vocab": VOCAB, "checkpoint": str(trained / "model.phl")}
+    paths = {
+        "corpus": CORPUS, "vocab": VOCAB, "checkpoint": str(trained / "model.phl"),
+        "config": CONFIG,
+    }
     paths[kind] = str(bad)
-    code = main(
-        [
-            "evaluate", "--corpus", paths["corpus"], "--vocab", paths["vocab"],
-            "--checkpoint", paths["checkpoint"], "--config", CONFIG,
-            "--out-dir", str(tmp_path),
-        ]
-    )
+    args = ["evaluate", "--out-dir", str(tmp_path)]
+    for flag, path in paths.items():
+        args += [f"--{flag}", path]
+    code = main(args)
     assert code == EXIT_USAGE
     assert str(bad) in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_seq, toy_batch, widen_parameters
+from phishlens import model as model_mod
 from phishlens.model import (
     CheckpointError,
     ConfigError,
@@ -299,11 +300,57 @@ def test_eval_forward_holds_no_cache_memory():
 def test_checkpoint_round_trip_bit_exact(toy_params, tmp_path):
     path = str(tmp_path / "model.phl")
     save_checkpoint(toy_params, path)
-    loaded, config = load_checkpoint(path)
-    assert config == toy_params.config
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config == toy_params.config
     for name in toy_params.tensors:
         assert np.array_equal(loaded.tensors[name], toy_params.tensors[name])
         assert loaded.tensors[name].dtype == toy_params.tensors[name].dtype
+
+
+def test_checkpoint_record_round_trips_and_defaults_to_empty(toy_params, tmp_path):
+    path = str(tmp_path / "model.phl")
+    record = {"split": {"seed": 5, "balance": "none"}, "vocab_sha256": "ab"}
+    save_checkpoint(toy_params, path, record)
+    assert load_checkpoint(path)[1] == record
+    save_checkpoint(toy_params, path)
+    assert load_checkpoint(path)[1] == {}
+
+
+def test_checkpoint_record_not_an_object_rejected(toy_params, tmp_path):
+    path = str(tmp_path / "model.phl")
+    save_checkpoint(toy_params, path, [1, 2])
+    with pytest.raises(CheckpointError, match="must be a JSON object"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_write_keeps_previous_file(toy_params, tmp_path, monkeypatch):
+    path = tmp_path / "model.phl"
+    save_checkpoint(toy_params, str(path))
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):  # the magic fits, nothing after it
+            if self.fh.tell():
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    real_open = open
+    monkeypatch.setattr(
+        model_mod, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(widen_parameters(toy_params), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.phl"]
 
 
 def test_checkpoint_truncated_file_rejected(toy_params, tmp_path):
