@@ -53,6 +53,21 @@ def _require_file(kind: str, path: str | None) -> None:
         raise UsageError(f"{kind} path {state}: {path}")
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    """--out-dir, created if missing; a path that is not a directory is a usage error."""
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"--out-dir is not a directory: {out_dir}") from exc
+    return out_dir
+
+
+def _is_fraction(value) -> bool:
+    """A train_fraction: a JSON number in (0, 1]."""
+    return type(value) in (int, float) and 0.0 < value <= 1.0
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -77,7 +92,7 @@ def _load_config_file(path: str | None) -> dict:
         if not isinstance(cfg.get(name, {}), dict):
             raise UsageError(f"config section '{name}' must be a JSON object")
     fraction = cfg.get("train_fraction", 0.7)
-    if type(fraction) not in (int, float) or not 0.0 < fraction <= 1.0:
+    if not _is_fraction(fraction):
         raise UsageError(f"train_fraction must be a number in (0, 1], got {fraction!r}")
     return cfg
 
@@ -195,6 +210,13 @@ def _recorded_split(record: dict, corpus_path: str, checkpoint: str):
         raise UsageError(f"{checkpoint}: unreadable split record ({exc!r})") from exc
     if balance not in BALANCE_MODES:
         raise UsageError(f"{checkpoint}: unknown balance mode {balance!r} in split record")
+    if type(seed) is not int:
+        raise UsageError(f"{checkpoint}: split record seed must be an int, got {seed!r}")
+    if not _is_fraction(fraction):
+        raise UsageError(
+            f"{checkpoint}: split record train_fraction must be a number in (0, 1], "
+            f"got {fraction!r}"
+        )
     if _sha256(corpus_path) != digest:
         raise UsageError(
             f"{corpus_path} is not the corpus {checkpoint} was trained on (sha256 differs)"
@@ -226,8 +248,7 @@ def cmd_train(args: argparse.Namespace, config: dict) -> int:
     train_cfg = _train_config(config, model_cfg, shuffle_seed=args.seed)
     params = init_parameters(model_cfg, seed=args.seed, dtype=_dtype(config))
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     summary = {
         "loaded": loaded.summary(seed=args.seed),
         "balanced": balanced.summary(seed=args.seed) if balanced else None,
@@ -293,8 +314,7 @@ def _load_predictions(path: str) -> tuple[list, list]:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
 
     if args.predictions is not None:
         predictions, labels = _load_predictions(args.predictions)
@@ -366,9 +386,8 @@ def _explain_both(args: argparse.Namespace, config: dict):
 
 
 def cmd_explain(args: argparse.Namespace, config: dict) -> int:
+    out_dir = _out_dir(args)
     text, lime_exp, ig_record = _explain_both(args, config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     html_doc = render_explanation_html(text, lime_exp, ig_record, LABEL_NAMES)
     (out_dir / "explanation.html").write_text(html_doc, encoding="utf-8")
@@ -389,10 +408,9 @@ def cmd_explain(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, config: dict) -> int:
+    out_dir = _out_dir(args)
     _, lime_exp, ig_record = _explain_both(args, config)
     rows = comparison_rows(lime_exp, ig_record)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_text = comparison_csv(rows)
     (out_dir / "comparison.csv").write_text(csv_text, encoding="utf-8")
     print(f"{'word':<20}{'lime %':>10}{'ig %':>10}")

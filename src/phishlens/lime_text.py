@@ -252,7 +252,8 @@ def explain(
 
     The target defaults to the class the black box predicts for the original
     text. The classifier must map any text to a probability vector over
-    cfg.class_names.
+    cfg.class_names. It is called once per distinct perturbation, so it
+    should depend on the text alone.
     """
     index = build_word_index(text)
     if cfg.exhaustive:
@@ -260,17 +261,23 @@ def explain(
     else:
         samples = sample_perturbations(index, cfg.num_samples, cfg.seed)
 
+    # the black box scores each distinct perturbation once, in order of its
+    # first sample, and every sample with that mask shares the result
+    masks = np.stack([s.mask for s in samples])
+    _, first, inverse = np.unique(masks, axis=0, return_index=True, return_inverse=True)
     n_classes = len(cfg.class_names)
-    probs = np.empty((len(samples), n_classes))
-    for i, sample in enumerate(samples):
-        probs[i] = _check_probability_vector(
-            classifier(sample.text), n_classes, f"sample {i}"
+    scored = np.empty((len(first), n_classes))
+    for j in np.argsort(first):
+        i = int(first[j])
+        scored[j] = _check_probability_vector(
+            classifier(samples[i].text), n_classes, f"sample {i}"
         )
+    probs = scored[inverse.reshape(-1)]
 
     if target is None:
         target = int(probs[0].argmax())
 
-    masks = np.stack([s.mask for s in samples]).astype(np.float64)
+    masks = masks.astype(np.float64)
     y = probs[:, target]
     weights = np.array([kernel_weight(s.distance, cfg.kernel_width) for s in samples])
 

@@ -1,10 +1,12 @@
 """Transformer encoder classifier: forward pass, exact reverse-mode gradients,
 and binary checkpoint I/O.
 
-Everything is plain numpy. Shapes: (B, T, D) batch/sequence/hidden and
-(B, h, T, d) per attention head. Default dtype is float64 so finite-difference
-gradient checks are meaningful; a float32 model computes in float32 (scalar
-constants are Python floats, which never promote an array).
+Everything is plain numpy. Shapes: (B, T, D) batch/sequence/hidden, (N, D)
+for the N real positions of a batch packed one after another (see _Packing;
+all position-wise work runs there), and (B, h, T, d) per attention head.
+Default dtype is float64 so finite-difference gradient checks are
+meaningful; a float32 model computes in float32 (scalar constants are
+Python floats, which never promote an array).
 """
 
 from __future__ import annotations
@@ -164,9 +166,10 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPa
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    zs = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(zs)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -197,8 +200,45 @@ def _layer_norm_backward(dy, cache, scale):
     return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
 
 
-def _dropout(x, rate, rng):
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+class _Packing:
+    """Where the real positions of a (B, T) mask sit among the rows of a
+    packed (N, ...) matrix: position (b, t) is flat index b*T + t, and the
+    real ones follow each other in that order.
+
+    `index` holds those flat indices, or is None when every position is
+    real; gather and scatter are then plain reshapes.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        real = mask != 0.0
+        if not real[:, 0].all():
+            raise ValueError("position 0 ([CLS]) must be real in every row")
+        self.shape = mask.shape
+        flat = real.reshape(-1)
+        self.index = None if flat.all() else np.flatnonzero(flat)
+        # the packed row of each sequence's [CLS]
+        self.cls_rows = np.concatenate(([0], np.cumsum(real.sum(axis=1))[:-1]))
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """(B, T, ...) -> (N, ...): the real positions only."""
+        flat = a.reshape(-1, *a.shape[2:])
+        return flat if self.index is None else flat[self.index]
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """(N, ...) -> (B, T, ...), with zeros at padding."""
+        if self.index is None:
+            return rows.reshape(*self.shape, *rows.shape[1:])
+        out = np.zeros((self.shape[0] * self.shape[1], *rows.shape[1:]), dtype=rows.dtype)
+        out[self.index] = rows
+        return out.reshape(*self.shape, *rows.shape[1:])
+
+
+def _dropout(x, rate, rng, packing: _Packing):
+    """Dropout on packed rows. The mask is drawn over the whole (B, T, n)
+    batch and then gathered, so the rng stream and the mask at each real
+    position do not depend on where the padding is."""
+    drawn = rng.random((*packing.shape, x.shape[-1])) >= rate
+    keep = packing.gather(drawn).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 
@@ -285,16 +325,17 @@ def _run_encoder(
     if t > cfg.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {cfg.max_positions}")
     mask = np.asarray(mask, dtype=embeddings.dtype)
+    packing = _Packing(mask)
     mask_add = (1.0 - mask)[:, None, None, :] * NEG_INF  # (B,1,1,T) on the key axis
     layers = None if cache is None else []
 
-    x = embeddings
+    x = packing.gather(embeddings)
     if rng is not None:
-        x, embed_keep = _dropout(x, cfg.dropout_rate, rng)
+        x, embed_keep = _dropout(x, cfg.dropout_rate, rng, packing)
     for i in range(cfg.num_layers):
-        x = _encoder_layer(p, f"layer{i}.", x, mask_add, cfg, rng, layers)
+        x = _encoder_layer(p, f"layer{i}.", x, packing, mask_add, cfg, rng, layers)
 
-    cls_vec = x[:, 0, :]
+    cls_vec = x[packing.cls_rows]
     pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
     pre_act = np.maximum(pre_lin, 0.0)
     logits = pre_act @ p["classifier.weight"] + p["classifier.bias"]
@@ -302,7 +343,7 @@ def _run_encoder(
 
     if cache is not None:
         cache.update(
-            mask=mask, layers=layers,
+            mask=mask, packing=packing, layers=layers,
             final_hidden=x, cls_vec=cls_vec, pre_lin=pre_lin, pre_act=pre_act,
         )
         if rng is not None:
@@ -310,27 +351,39 @@ def _run_encoder(
     return ForwardOutput(logits=logits, probabilities=probs_out, cache=cache)
 
 
-def _encoder_layer(p, pre, x, mask_add, cfg, rng, layers: list | None) -> np.ndarray:
-    """One post-layer-norm block; dropout iff rng is given, and the layer's
-    backward cache is appended to `layers` unless it is None."""
-    b, t, d = x.shape
+def _heads(rows, packing: _Packing, h: int) -> np.ndarray:
+    """Packed (N, D) -> (B, h, T, D/h), zeros at padding."""
+    b, t = packing.shape
+    return packing.scatter(rows).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
+
+
+def _unheads(m, packing: _Packing) -> np.ndarray:
+    """(B, h, T, D/h) -> packed (N, D)."""
+    b, h, t, hd = m.shape
+    return packing.gather(m.transpose(0, 2, 1, 3).reshape(b, t, h * hd))
+
+
+def _encoder_layer(p, pre, x, packing, mask_add, cfg, rng, layers: list | None) -> np.ndarray:
+    """One post-layer-norm block over the packed (N, D) rows; dropout iff rng
+    is given, and the layer's backward cache is appended to `layers` unless
+    it is None. Only attention runs on the (B, h, T, T) layout."""
     h, hd = cfg.num_heads, cfg.head_dim
     lc: dict = {"x_in": x}
     q = x @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
     k = x @ p[pre + "attn_k.weight"] + p[pre + "attn_k.bias"]
     v = x @ p[pre + "attn_v.weight"] + p[pre + "attn_v.bias"]
 
-    def heads(m):
-        return m.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(hd) + mask_add
+    # the head views are scattered copies unless every position is real;
+    # each is freed as soon as its product has been formed
+    scores = _heads(q, packing, h) @ _heads(k, packing, h).transpose(0, 1, 3, 2)
+    scores /= math.sqrt(hd)
+    scores += mask_add
     probs = softmax(scores, axis=-1)  # masked keys get exactly 0
-    ctx = probs @ vh  # (B,h,T,hd)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
+    del scores
+    merged = _unheads(probs @ _heads(v, packing, h), packing)
     attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
     if rng is not None:
-        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng)
+        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng, packing)
     h1, ln1_cache = _layer_norm(
         x + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
     )
@@ -339,14 +392,14 @@ def _encoder_layer(p, pre, x, mask_add, cfg, rng, layers: list | None) -> np.nda
     ffn_act = gelu(ffn_pre)
     ffn_out = ffn_act @ p[pre + "ffn_out.weight"] + p[pre + "ffn_out.bias"]
     if rng is not None:
-        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, rng)
+        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, rng, packing)
     h2, ln2_cache = _layer_norm(
         h1 + ffn_out, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"]
     )
 
     if layers is not None:
         lc.update(
-            qh=qh, kh=kh, vh=vh, probs=probs, merged=merged,
+            q=q, k=k, v=v, probs=probs, merged=merged,
             h1=h1, ln1=ln1_cache, ffn_pre=ffn_pre, ffn_act=ffn_act, ln2=ln2_cache,
         )
         layers.append(lc)
@@ -405,7 +458,8 @@ def backward(
 def grad_wrt_embeddings(
     params: ModelParameters, output: ForwardOutput, target: int
 ) -> np.ndarray:
-    """d(target logit)/d(embeddings) for every batch row; parameters untouched."""
+    """d(target logit)/d(embeddings) for every batch row, shape (B, T, D) with
+    zeros at padding; parameters untouched."""
     cache = output.cache
     if cache is None:
         raise StaleCacheError(
@@ -415,10 +469,12 @@ def grad_wrt_embeddings(
     dlogits = np.zeros((b, c), dtype=output.logits.dtype)
     dlogits[:, target] = 1.0
     _, d_embed = _backward_core(params, cache, dlogits, want_param_grads=False)
-    return d_embed
+    return cache["packing"].scatter(d_embed)
 
 
 def _backward_core(params, cache, dlogits, want_param_grads: bool):
+    """Gradients from the cache of one pass: (parameter grads or None, the
+    packed (N, D) gradient of the embeddings)."""
     cfg = params.config
     p = params.tensors
     grads: GradientSet = (
@@ -428,8 +484,7 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
     )
 
     pre_act, pre_lin, cls_vec = cache["pre_act"], cache["pre_lin"], cache["cls_vec"]
-    x_final = cache["final_hidden"]
-    b, t, d = x_final.shape
+    packing = cache["packing"]
     h, hd = cfg.num_heads, cfg.head_dim
 
     if want_param_grads:
@@ -442,8 +497,8 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         grads["prehead.bias"] = d_pre_lin.sum(axis=0)
     d_cls = d_pre_lin @ p["prehead.weight"].T
 
-    dx = np.zeros_like(x_final)
-    dx[:, 0, :] = d_cls
+    dx = np.zeros_like(cache["final_hidden"])
+    dx[packing.cls_rows] = d_cls
 
     for i in reversed(range(cfg.num_layers)):
         pre = f"layer{i}."
@@ -460,15 +515,14 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         if "ffn_keep" in lc:
             d_ffn_out = d_ffn_out * lc["ffn_keep"]
 
-        flat = lambda a: a.reshape(-1, a.shape[-1])
         if want_param_grads:
-            grads[pre + "ffn_out.weight"] = flat(lc["ffn_act"]).T @ flat(d_ffn_out)
-            grads[pre + "ffn_out.bias"] = flat(d_ffn_out).sum(axis=0)
+            grads[pre + "ffn_out.weight"] = lc["ffn_act"].T @ d_ffn_out
+            grads[pre + "ffn_out.bias"] = d_ffn_out.sum(axis=0)
         d_ffn_act = d_ffn_out @ p[pre + "ffn_out.weight"].T
         d_ffn_pre = d_ffn_act * gelu_grad(lc["ffn_pre"])
         if want_param_grads:
-            grads[pre + "ffn_in.weight"] = flat(lc["h1"]).T @ flat(d_ffn_pre)
-            grads[pre + "ffn_in.bias"] = flat(d_ffn_pre).sum(axis=0)
+            grads[pre + "ffn_in.weight"] = lc["h1"].T @ d_ffn_pre
+            grads[pre + "ffn_in.bias"] = d_ffn_pre.sum(axis=0)
         d_h1 += d_ffn_pre @ p[pre + "ffn_in.weight"].T
 
         d_sum1, d_scale1, d_shift1 = _layer_norm_backward(
@@ -483,12 +537,12 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
             d_attn = d_attn * lc["attn_keep"]
 
         if want_param_grads:
-            grads[pre + "attn_out.weight"] = flat(lc["merged"]).T @ flat(d_attn)
-            grads[pre + "attn_out.bias"] = flat(d_attn).sum(axis=0)
-        d_merged = d_attn @ p[pre + "attn_out.weight"].T
-        d_ctx = d_merged.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+            grads[pre + "attn_out.weight"] = lc["merged"].T @ d_attn
+            grads[pre + "attn_out.bias"] = d_attn.sum(axis=0)
+        d_ctx = _heads(d_attn @ p[pre + "attn_out.weight"].T, packing, h)
 
-        probs, qh, kh, vh = lc["probs"], lc["qh"], lc["kh"], lc["vh"]
+        probs = lc["probs"]
+        qh, kh, vh = (_heads(lc[name], packing, h) for name in ("q", "k", "v"))
         d_vh = probs.transpose(0, 1, 3, 2) @ d_ctx
         d_probs = d_ctx @ vh.transpose(0, 1, 3, 2)
         rowdot = (d_probs * probs).sum(axis=-1, keepdims=True)
@@ -497,15 +551,12 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         d_qh = d_scores @ kh * scale
         d_kh = d_scores.transpose(0, 1, 3, 2) @ qh * scale
 
-        def unheads(m):
-            return m.transpose(0, 2, 1, 3).reshape(b, t, d)
-
-        d_q, d_k, d_v = unheads(d_qh), unheads(d_kh), unheads(d_vh)
         x_in = lc["x_in"]
-        for dname, dm in (("attn_q", d_q), ("attn_k", d_k), ("attn_v", d_v)):
+        for dname, dh in (("attn_q", d_qh), ("attn_k", d_kh), ("attn_v", d_vh)):
+            dm = _unheads(dh, packing)
             if want_param_grads:
-                grads[pre + dname + ".weight"] = flat(x_in).T @ flat(dm)
-                grads[pre + dname + ".bias"] = flat(dm).sum(axis=0)
+                grads[pre + dname + ".weight"] = x_in.T @ dm
+                grads[pre + dname + ".bias"] = dm.sum(axis=0)
             d_x += dm @ p[pre + dname + ".weight"].T
         dx = d_x
 
@@ -513,10 +564,9 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         dx = dx * cache["embed_keep"]
 
     if want_param_grads:
-        np.add.at(
-            grads["token_embedding"], cache["ids"].reshape(-1), dx.reshape(-1, d)
-        )
-        grads["position_embedding"][:t] = dx.sum(axis=0)
+        np.add.at(grads["token_embedding"], packing.gather(cache["ids"]), dx)
+        t = packing.shape[1]
+        grads["position_embedding"][:t] = packing.scatter(dx).sum(axis=0)
 
     return (grads if want_param_grads else None), dx
 

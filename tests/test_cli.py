@@ -244,8 +244,27 @@ def test_evaluate_scores_exactly_the_partition_train_held_out(tmp_path, train_fl
             lambda record: record["split"].update(balance="sideways"),
             "unknown balance mode 'sideways'",
         ),
+        (
+            lambda record: record["split"].update(train_fraction=1.5),
+            "split record train_fraction must be a number in (0, 1], got 1.5",
+        ),
+        (
+            lambda record: record["split"].update(train_fraction="0.7"),
+            "split record train_fraction must be a number in (0, 1], got '0.7'",
+        ),
+        (
+            lambda record: record["split"].update(seed=5.0),
+            "split record seed must be an int, got 5.0",
+        ),
+        (
+            lambda record: record["split"].update(seed="5"),
+            "split record seed must be an int, got '5'",
+        ),
     ],
-    ids=["missing", "no-seed", "unknown-balance"],
+    ids=[
+        "missing", "no-seed", "unknown-balance", "fraction-above-1", "fraction-string",
+        "seed-float", "seed-string",
+    ],
 )
 def test_evaluate_checkpoint_without_usable_split_record_is_usage_error(
     trained, tmp_path, capsys, edit, message
@@ -702,3 +721,13 @@ def test_malformed_input_file_is_usage_error(trained, tmp_path, capsys, case):
     code = main(args)
     assert code == EXIT_USAGE
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "explain", "compare"])
+def test_out_dir_that_is_a_file_is_usage_error(trained, tmp_path, capsys, command):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a directory\n", encoding="utf-8")
+    for out_dir in (occupied, occupied / "run"):
+        assert main(_command_args(command, trained, CONFIG, out_dir)) == EXIT_USAGE
+        assert f"--out-dir is not a directory: {out_dir}" in capsys.readouterr().err
+    assert occupied.read_text(encoding="utf-8") == "not a directory\n"

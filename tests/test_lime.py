@@ -234,6 +234,60 @@ def test_explain_contract_violations():
         explain("some words here", lambda t: [0.2, 0.3, 0.5], cfg)
 
 
+def _per_sample_reference(text, classifier, cfg):
+    """The explanation from scoring every sample, duplicates included."""
+    index = build_word_index(text)
+    samples = sample_perturbations(index, cfg.num_samples, cfg.seed)
+    probs = np.array([classifier(s.text) for s in samples], dtype=np.float64)
+    target = int(probs[0].argmax())
+    weights = np.array([kernel_weight(s.distance, cfg.kernel_width) for s in samples])
+    masks = np.stack([s.mask for s in samples]).astype(np.float64)
+    k = min(cfg.num_features, len(index))
+    selected, coefs, intercept, r2 = fit_local_model(
+        masks, probs[:, target], weights, cfg.ridge_alpha, k
+    )
+    return (
+        [(index.distinct_words[i], float(c)) for i, c in zip(selected, coefs)],
+        intercept, r2, float(probs[0, target]),
+    ), samples
+
+
+def test_explain_scores_each_distinct_perturbation_once():
+    calls = []
+
+    def clf(text):
+        calls.append(text)
+        present = set(re.findall(r"\w+", text.lower()))
+        z = 1.5 * ("free" in present) - 0.7 * ("meeting" in present) + 0.2 * len(present)
+        p1 = 1.0 / (1.0 + math.exp(-z))
+        return [1.0 - p1, p1]
+
+    text = "free prize meeting now please"
+    cfg = LimeConfig(num_features=3, num_samples=200, seed=4)
+    expected, samples = _per_sample_reference(text, clf, cfg)
+    calls.clear()
+    exp = explain(text, clf, cfg)
+
+    distinct = {s.mask.tobytes() for s in samples}
+    assert len(distinct) < len(samples)  # 5 words: at most 32 masks
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert calls[0] == text  # first-appearance order: the unperturbed text first
+    assert (list(exp.weighted_words), exp.intercept, exp.local_fit_r2,
+            exp.predicted_probability) == expected
+
+
+def test_contract_violation_names_first_sample_with_that_mask():
+    def clf(text):  # breaks the contract whenever "bravo" was knocked out
+        return [0.5, 0.5] if "bravo" in text else [0.9, 0.9]
+
+    text = "alpha bravo charlie delta"
+    cfg = LimeConfig(num_features=2, num_samples=40, seed=2)
+    samples = sample_perturbations(build_word_index(text), cfg.num_samples, cfg.seed)
+    first_bad = next(i for i, s in enumerate(samples) if s.mask[1] == 0)
+    with pytest.raises(ClassifierContractError, match=rf"^sample {first_bad}: "):
+        explain(text, clf, cfg)
+
+
 def test_explain_empty_text_rejected():
     cfg = LimeConfig(num_samples=4)
     with pytest.raises(ValueError):

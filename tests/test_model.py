@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_seq, toy_batch, widen_parameters
+from conftest import make_seq, synthetic_corpus, toy_batch, widen_parameters
 from phishlens import model as model_mod
+from phishlens.corpus import split
 from phishlens.model import (
     CheckpointError,
     ConfigError,
@@ -26,6 +27,7 @@ from phishlens.model import (
     softmax,
 )
 from phishlens.tokenizer import encode
+from phishlens.training import TrainConfig, train
 
 LABELS = [1, 0]
 
@@ -457,6 +459,14 @@ def test_row_without_real_token_is_rejected(toy_params):
         forward(toy_params, [toy_batch()[0], empty])
 
 
+def test_row_whose_first_position_is_padding_is_rejected(toy_params):
+    # the head reads [CLS] at position 0, which packing keeps only if it is real
+    ids, mask = batch_arrays(toy_batch())
+    mask[1, 0] = 0.0
+    with pytest.raises(ValueError, match=r"position 0 \(\[CLS\]\) must be real"):
+        forward_from_embeddings(toy_params, embed(toy_params, ids), mask)
+
+
 def test_gradients_sampled_on_deeper_stack(vocab):
     # three layers, four heads: exercises cross-layer chaining the toy
     # config cannot, with a sampled finite-difference comparison
@@ -488,3 +498,120 @@ def test_gradients_sampled_on_deeper_stack(vocab):
             flat[i] = orig
             fd = (lp - lm) / (2 * step)
             assert abs(aflat[i] - fd) < 1e-6, f"{name}[{i}]: {aflat[i]} vs {fd}"
+
+
+def _directional_fd(params, batch, labels, direction, step):
+    """(L(θ + step·u) − L(θ − step·u)) / 2·step for a direction u given per tensor."""
+    losses = []
+    for sign in (1.0, -1.0):
+        moved = params.copy()
+        for name, u in direction.items():
+            moved.tensors[name] += sign * step * u
+        losses.append(cross_entropy_loss(forward(moved, batch), labels))
+    return (losses[0] - losses[1]) / (2.0 * step)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_directional_derivatives_match_central_differences(toy_params, seed):
+    # toy_batch() is padded. The tolerance is absolute, so a tensor whose
+    # true gradient is 0 (layer0.attn_k.bias) passes on merit, not rounding.
+    params = widen_parameters(toy_params)
+    batch = toy_batch()
+    _, grads = backward(params, batch, LABELS)
+    rng = np.random.default_rng(seed)
+    units = {}
+    for name, tensor in params.tensors.items():
+        u = rng.normal(size=tensor.shape)
+        units[name] = u / np.linalg.norm(u)
+    checks = [{name: u} for name, u in units.items()] + [units]  # each tensor, then all
+    for direction in checks:
+        analytic = sum(float((grads[name] * u).sum()) for name, u in direction.items())
+        fd = _directional_fd(params, batch, LABELS, direction, step=1e-5)
+        label = next(iter(direction)) if len(direction) == 1 else "all tensors"
+        assert abs(analytic - fd) < 1e-8, f"{label}: {analytic} vs {fd}"
+
+
+def _ragged_batch():
+    rng = np.random.default_rng(4)
+    return [
+        make_seq([2, *rng.integers(5, 100, n - 2).tolist(), 3], n, 16)
+        for n in (12, 3, 7, 16, 5)
+    ]
+
+
+def test_padded_batch_forward_equals_single_rows(toy_params):
+    params = widen_parameters(toy_params, seed=3)
+    batch = _ragged_batch()
+    probs = forward(params, batch).probabilities
+    for row, seq in enumerate(batch):
+        np.testing.assert_allclose(
+            probs[row], forward(params, [seq]).probabilities[0], rtol=0, atol=1e-12
+        )
+
+
+def test_padded_batch_gradients_equal_mean_of_single_rows(toy_params):
+    params = widen_parameters(toy_params, seed=3)
+    batch = _ragged_batch()
+    labels = [1, 0, 0, 1, 1]
+    _, grads = backward(params, batch, labels)
+    singles = [backward(params, [seq], [label])[1] for seq, label in zip(batch, labels)]
+    for name in grads:
+        mean = sum(g[name] for g in singles) / len(batch)
+        np.testing.assert_allclose(grads[name], mean, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_embedding_gradients_exactly_zero_at_padding(toy_params):
+    params = widen_parameters(toy_params, seed=3)
+    batch = _ragged_batch()
+    ids = np.array([seq.input_ids for seq in batch])
+    mask = np.array([seq.attention_mask for seq in batch], dtype=np.float64)
+    out = forward_from_embeddings(params, embed(params, ids), mask)
+    d_embed = grad_wrt_embeddings(params, out, target=1)
+    assert d_embed.shape == (*ids.shape, params.config.hidden_dim)
+    assert np.all(d_embed[mask == 0.0] == 0.0)
+    assert np.all(np.abs(d_embed[mask == 1.0]).sum(axis=-1) > 0.0)
+
+
+def test_train_cache_holds_real_positions_only(toy_config):
+    cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.1)
+    params = init_parameters(cfg, seed=4)
+    batch = _ragged_batch()
+    n_real = sum(seq.real_length for seq in batch)  # 43 of 5 x 16 positions
+    out = forward(params, batch, train_mode=True, rng=np.random.default_rng(0))
+    cache = out.cache
+    assert cache["final_hidden"].shape[0] == cache["embed_keep"].shape[0] == n_real
+    for lc in cache["layers"]:
+        positionwise = {k: v for k, v in lc.items() if k != "probs"}
+        assert set(positionwise) == {
+            "x_in", "q", "k", "v", "merged", "attn_keep", "h1", "ln1",
+            "ffn_pre", "ffn_act", "ffn_keep", "ln2",
+        }
+        for arr in _arrays_in(positionwise):
+            assert arr.shape[0] == n_real
+        assert lc["probs"].shape == (5, cfg.num_heads, 16, 16)
+
+
+class _FullWidth(model_mod._Packing):
+    """Reference layout: every position of the batch runs, padding included
+    (attention still masks the padded keys)."""
+
+    def __init__(self, mask):
+        super().__init__(np.ones_like(mask))
+
+
+def test_seeded_dropout_training_matches_full_width_reference(vocab, monkeypatch):
+    cfg = ModelConfig(
+        vocab_size=vocab.size, max_positions=16, hidden_dim=16,
+        num_heads=2, num_layers=2, ffn_dim=32, dropout_rate=0.1,
+    )
+    parts = split(synthetic_corpus(24, seed=8), 0.75, seed=0)
+    train_cfg = TrainConfig(
+        learning_rate=1e-3, train_batch_size=6, epochs=2, shuffle_seed=3, max_len=16,
+    )
+    packed, _ = train(init_parameters(cfg, seed=2), parts, vocab, train_cfg)
+    monkeypatch.setattr(model_mod, "_Packing", _FullWidth)
+    reference, _ = train(init_parameters(cfg, seed=2), parts, vocab, train_cfg)
+    for name, tensor in packed.tensors.items():
+        np.testing.assert_allclose(
+            tensor, reference.tensors[name], rtol=0, atol=1e-12, err_msg=name
+        )
