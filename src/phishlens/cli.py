@@ -30,7 +30,7 @@ from .model import (
 )
 from .report import comparison_csv, comparison_rows, render_explanation_html
 from .tokenizer import Vocabulary, VocabularyError, encode, load_vocabulary
-from .training import EpochStats, TrainConfig, evaluate, train
+from .training import EpochStats, NonFiniteTrainingError, TrainConfig, evaluate, train
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
 BALANCE_MODES = ("none", "before_split", "after_split")
@@ -480,6 +480,7 @@ def main(argv=None) -> int:
     except (  # bad input: each message names the file or the value
         UsageError, FileNotFoundError, corpus_mod.EmptyCorpusError,
         corpus_mod.CorpusFormatError, VocabularyError, CheckpointError,
+        NonFiniteTrainingError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,9 @@ and binary checkpoint I/O.
 
 Everything is plain numpy. Shapes: (B, T, D) batch/sequence/hidden, (N, D)
 for the N real positions of a batch packed one after another (see _Packing;
-all position-wise work runs there), and (B, h, T, d) per attention head.
+all position-wise work runs there), and (G, h, L, d) per attention head for
+the G sequences of one real length L: attention runs within each sequence's
+own real positions, so it needs no key mask.
 Default dtype is float64 so finite-difference gradient checks are
 meaningful; a float32 model computes in float32 (scalar constants are
 Python floats, which never promote an array).
@@ -26,7 +28,6 @@ from .tokenizer import TokenSequence
 
 MAGIC = b"PHL1"
 RECORD_KEY = "record"  # header key of the caller's record, stored verbatim
-NEG_INF = -1e9  # additive pre-softmax mask; underflows to exact 0 after exp
 LN_EPS = 1e-12
 
 
@@ -173,7 +174,14 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) in one buffer; the halving is exact,
+    # so the order of the products does not change a bit
+    t = np.divide(x, math.sqrt(2.0))
+    erf(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -203,10 +211,16 @@ def _layer_norm_backward(dy, cache, scale):
 class _Packing:
     """Where the real positions of a (B, T) mask sit among the rows of a
     packed (N, ...) matrix: position (b, t) is flat index b*T + t, and the
-    real ones follow each other in that order.
+    real ones follow each other in that order, so each sequence's real
+    positions are consecutive rows.
 
     `index` holds those flat indices, or is None when every position is
     real; gather and scatter are then plain reshapes.
+
+    `groups` lists, for each distinct real length L, (L, rows): the packed
+    rows of the G sequences of that length, sequence after sequence, so
+    that m[rows] reshapes to (G, L, ...). When every sequence has the same
+    length there is one group and rows is None: the packed matrix itself.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -216,8 +230,17 @@ class _Packing:
         self.shape = mask.shape
         flat = real.reshape(-1)
         self.index = None if flat.all() else np.flatnonzero(flat)
+        lengths = real.sum(axis=1)
         # the packed row of each sequence's [CLS]
-        self.cls_rows = np.concatenate(([0], np.cumsum(real.sum(axis=1))[:-1]))
+        self.cls_rows = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        distinct = np.unique(lengths)
+        if len(distinct) == 1:
+            self.groups = [(int(distinct[0]), None)]
+        else:
+            self.groups = [
+                (int(n), (self.cls_rows[lengths == n, None] + np.arange(n)).reshape(-1))
+                for n in distinct
+            ]
 
     def gather(self, a: np.ndarray) -> np.ndarray:
         """(B, T, ...) -> (N, ...): the real positions only."""
@@ -256,7 +279,7 @@ class ForwardOutput:
 def batch_arrays(batch: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Ids and mask of a batch, without the trailing columns that are padding
     in every row: the encoder runs at the longest real length, and since
-    masked keys get exactly 0 attention the logits cannot depend on them."""
+    padded positions never enter attention the logits cannot depend on them."""
     ids = np.array([seq.input_ids for seq in batch], dtype=np.int64)
     mask = np.array([seq.attention_mask for seq in batch], dtype=np.float64)
     real = mask != 0.0
@@ -326,14 +349,13 @@ def _run_encoder(
         raise ValueError(f"sequence length {t} exceeds max_positions {cfg.max_positions}")
     mask = np.asarray(mask, dtype=embeddings.dtype)
     packing = _Packing(mask)
-    mask_add = (1.0 - mask)[:, None, None, :] * NEG_INF  # (B,1,1,T) on the key axis
     layers = None if cache is None else []
 
     x = packing.gather(embeddings)
     if rng is not None:
         x, embed_keep = _dropout(x, cfg.dropout_rate, rng, packing)
     for i in range(cfg.num_layers):
-        x = _encoder_layer(p, f"layer{i}.", x, packing, mask_add, cfg, rng, layers)
+        x = _encoder_layer(p, f"layer{i}.", x, packing, cfg, rng, layers)
 
     cls_vec = x[packing.cls_rows]
     pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
@@ -351,36 +373,67 @@ def _run_encoder(
     return ForwardOutput(logits=logits, probabilities=probs_out, cache=cache)
 
 
-def _heads(rows, packing: _Packing, h: int) -> np.ndarray:
-    """Packed (N, D) -> (B, h, T, D/h), zeros at padding."""
-    b, t = packing.shape
-    return packing.scatter(rows).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
+def _heads(m, rows, n: int, h: int) -> np.ndarray:
+    """The packed (N, D) rows of one length group -> (G, h, n, D/h)."""
+    if rows is not None:
+        m = m[rows]
+    return m.reshape(-1, n, h, m.shape[1] // h).transpose(0, 2, 1, 3)
 
 
-def _unheads(m, packing: _Packing) -> np.ndarray:
-    """(B, h, T, D/h) -> packed (N, D)."""
-    b, h, t, hd = m.shape
-    return packing.gather(m.transpose(0, 2, 1, 3).reshape(b, t, h * hd))
+def _unheads(m, rows, out: np.ndarray) -> None:
+    """Write (G, h, n, D/h) into the group's rows of the packed (N, D) `out`."""
+    g, h, n, hd = m.shape
+    if rows is None:
+        out.reshape(g, n, h, hd)[...] = m.transpose(0, 2, 1, 3)
+    else:
+        out[rows] = m.transpose(0, 2, 1, 3).reshape(g * n, h * hd)
 
 
-def _encoder_layer(p, pre, x, packing, mask_add, cfg, rng, layers: list | None) -> np.ndarray:
+def _attention(q, k, v, packing: _Packing, h: int, probs_cache: list | None):
+    """Scaled dot-product attention of each sequence over its own real
+    positions, one length group at a time; returns the merged (N, D)
+    context (zero on rows outside every group). The probabilities of each
+    group, (G, h, L, L), are appended to `probs_cache` unless it is None."""
+    merged = np.zeros(q.shape, dtype=q.dtype)  # C order: _unheads writes through a reshape
+    root_d = math.sqrt(q.shape[1] // h)
+    for n, rows in packing.groups:
+        scores = _heads(q, rows, n, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
+        scores /= root_d
+        probs = softmax(scores, axis=-1)
+        del scores
+        _unheads(probs @ _heads(v, rows, n, h), rows, merged)
+        if probs_cache is not None:
+            probs_cache.append(probs)
+    return merged
+
+
+def _attention_backward(d_merged, q, k, v, packing: _Packing, h: int, probs_cache):
+    """Gradients of _attention's output with respect to packed q, k and v."""
+    dq, dk, dv = (np.zeros(m.shape, dtype=m.dtype) for m in (q, k, v))
+    scale = 1.0 / math.sqrt(q.shape[1] // h)
+    for (n, rows), probs in zip(packing.groups, probs_cache, strict=True):
+        d_ctx = _heads(d_merged, rows, n, h)
+        qh, kh, vh = (_heads(m, rows, n, h) for m in (q, k, v))
+        _unheads(probs.transpose(0, 1, 3, 2) @ d_ctx, rows, dv)
+        d_probs = d_ctx @ vh.transpose(0, 1, 3, 2)
+        rowdot = (d_probs * probs).sum(axis=-1, keepdims=True)
+        d_scores = (d_probs - rowdot) * probs
+        _unheads(d_scores @ kh * scale, rows, dq)
+        _unheads(d_scores.transpose(0, 1, 3, 2) @ qh * scale, rows, dk)
+    return dq, dk, dv
+
+
+def _encoder_layer(p, pre, x, packing, cfg, rng, layers: list | None) -> np.ndarray:
     """One post-layer-norm block over the packed (N, D) rows; dropout iff rng
     is given, and the layer's backward cache is appended to `layers` unless
-    it is None. Only attention runs on the (B, h, T, T) layout."""
-    h, hd = cfg.num_heads, cfg.head_dim
+    it is None."""
     lc: dict = {"x_in": x}
     q = x @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
     k = x @ p[pre + "attn_k.weight"] + p[pre + "attn_k.bias"]
     v = x @ p[pre + "attn_v.weight"] + p[pre + "attn_v.bias"]
 
-    # the head views are scattered copies unless every position is real;
-    # each is freed as soon as its product has been formed
-    scores = _heads(q, packing, h) @ _heads(k, packing, h).transpose(0, 1, 3, 2)
-    scores /= math.sqrt(hd)
-    scores += mask_add
-    probs = softmax(scores, axis=-1)  # masked keys get exactly 0
-    del scores
-    merged = _unheads(probs @ _heads(v, packing, h), packing)
+    probs = None if layers is None else []
+    merged = _attention(q, k, v, packing, cfg.num_heads, probs)
     attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
     if rng is not None:
         attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng, packing)
@@ -485,7 +538,6 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
 
     pre_act, pre_lin, cls_vec = cache["pre_act"], cache["pre_lin"], cache["cls_vec"]
     packing = cache["packing"]
-    h, hd = cfg.num_heads, cfg.head_dim
 
     if want_param_grads:
         grads["classifier.weight"] = pre_act.T @ dlogits
@@ -539,21 +591,13 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         if want_param_grads:
             grads[pre + "attn_out.weight"] = lc["merged"].T @ d_attn
             grads[pre + "attn_out.bias"] = d_attn.sum(axis=0)
-        d_ctx = _heads(d_attn @ p[pre + "attn_out.weight"].T, packing, h)
-
-        probs = lc["probs"]
-        qh, kh, vh = (_heads(lc[name], packing, h) for name in ("q", "k", "v"))
-        d_vh = probs.transpose(0, 1, 3, 2) @ d_ctx
-        d_probs = d_ctx @ vh.transpose(0, 1, 3, 2)
-        rowdot = (d_probs * probs).sum(axis=-1, keepdims=True)
-        d_scores = (d_probs - rowdot) * probs
-        scale = 1.0 / math.sqrt(hd)
-        d_qh = d_scores @ kh * scale
-        d_kh = d_scores.transpose(0, 1, 3, 2) @ qh * scale
+        d_qkv = _attention_backward(
+            d_attn @ p[pre + "attn_out.weight"].T,
+            lc["q"], lc["k"], lc["v"], packing, cfg.num_heads, lc["probs"],
+        )
 
         x_in = lc["x_in"]
-        for dname, dh in (("attn_q", d_qh), ("attn_k", d_kh), ("attn_v", d_vh)):
-            dm = _unheads(dh, packing)
+        for dname, dm in zip(("attn_q", "attn_k", "attn_v"), d_qkv):
             if want_param_grads:
                 grads[pre + dname + ".weight"] = x_in.T @ dm
                 grads[pre + dname + ".bias"] = dm.sum(axis=0)

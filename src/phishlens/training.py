@@ -8,6 +8,7 @@ batch, and evaluates the held-out partition unshuffled after every epoch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +17,10 @@ import numpy as np
 from .corpus import LabeledCorpus, SplitCorpus
 from .model import ModelParameters, backward, cross_entropy_loss, forward
 from .tokenizer import TokenSequence, Vocabulary, encode
+
+
+class NonFiniteTrainingError(ValueError):
+    """A training step produced a non-finite loss or gradient."""
 
 
 @dataclass
@@ -111,6 +116,16 @@ def adamw_step(
     return state
 
 
+def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, batch: int) -> None:
+    """Raise before a non-finite step can reach the parameters."""
+    where = f"epoch {epoch}, batch {batch}"
+    if not math.isfinite(loss):
+        raise NonFiniteTrainingError(f"{where}: training loss is {loss}")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NonFiniteTrainingError(f"{where}: gradient of {name} is not finite")
+
+
 def _batches(n: int, size: int, order=None):
     idx = np.arange(n) if order is None else order
     for start in range(0, n, size):
@@ -154,7 +169,11 @@ def train(
     cfg: TrainConfig,
     on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> tuple[ModelParameters, list[EpochStats]]:
-    """Fine-tune in place over cfg.epochs; returns (params, per-epoch stats)."""
+    """Fine-tune in place over cfg.epochs; returns (params, per-epoch stats).
+
+    A step whose loss or gradient is not finite raises NonFiniteTrainingError
+    naming its epoch and batch, before the update is applied.
+    """
     if len(corpus.train) == 0:
         raise ValueError("cannot train on an empty train partition")
     if cfg.epochs == 0:
@@ -178,11 +197,12 @@ def train(
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         correct = 0
-        for idx in _batches(n, cfg.train_batch_size, order):
+        for batch_index, idx in enumerate(_batches(n, cfg.train_batch_size, order)):
             batch = [train_seqs[i] for i in idx]
             labels = train_labels[idx]
             out, grads = backward(params, batch, labels, rng=dropout_rng)
             loss = cross_entropy_loss(out, labels)
+            _check_finite(loss, grads, epoch, batch_index)
             adamw_step(params.tensors, grads, state, cfg)
             loss_sum += loss * len(idx)
             correct += int((out.probabilities.argmax(axis=1) == labels).sum())

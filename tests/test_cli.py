@@ -670,6 +670,22 @@ def test_malformed_config_file_is_usage_error(
         assert str(cfg_path) in err
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_diverging_training_is_usage_error(tmp_path, capsys):
+    # one step at this rate drives the weights far enough to overflow the next pass
+    config = json.loads(Path(CONFIG).read_text())
+    config["train"]["learning_rate"] = 1e300
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    args = [
+        "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+        "--seed", "5", "--out-dir", str(tmp_path),
+    ]
+    assert main(args) == EXIT_USAGE
+    assert "error: epoch 1, batch 0: training loss is nan" in capsys.readouterr().err
+    assert not (tmp_path / "model.phl").exists()
+
+
 def test_partial_model_section_fills_from_the_preset(tmp_path):
     config = json.loads(Path(CONFIG).read_text())
     config["model"] = {"num_layers": 1, "hidden_dim": 16, "num_heads": 2, "ffn_dim": 32}

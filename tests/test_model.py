@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from conftest import make_seq, synthetic_corpus, toy_batch, widen_parameters
 from phishlens import model as model_mod
@@ -18,6 +20,7 @@ from phishlens.model import (
     embed,
     forward,
     forward_from_embeddings,
+    gelu,
     grad_wrt_embeddings,
     init_parameters,
     load_checkpoint,
@@ -126,17 +129,30 @@ def test_forward_rejects_overlong_sequence(toy_params):
 
 def test_attention_rows_normalized_and_masked_weights_zero(toy_params):
     out = forward(toy_params, toy_batch(), train_mode=True)
-    mask = out.cache["mask"]
+    lengths = out.cache["mask"].sum(axis=1)
+    groups = out.cache["packing"].groups
     for lc in out.cache["layers"]:
-        probs = lc["probs"]  # (B, h, T, T)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
-        masked_cols = probs[:, :, :, :] * (1.0 - mask[:, None, None, :])
-        assert masked_cols.max() < 1e-12
+        key_counts = []
+        for (n, _), probs in zip(groups, lc["probs"], strict=True):  # (G, h, n, n)
+            assert probs.shape[-2:] == (n, n)
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+            key_counts += [n] * probs.shape[0]
+        # each sequence has exactly one key column per real position: none for padding
+        assert sorted(key_counts) == sorted(lengths)
 
 
 def test_softmax_shift_invariance():
     z = np.array([[1.3, -0.4], [0.0, 2.2]])
     np.testing.assert_allclose(softmax(z), softmax(z + 7.5), atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bit_identical_to_the_textbook_formula(dtype):
+    x = (np.random.default_rng(0).normal(size=(64, 96)) * 4.0).astype(dtype)
+    expected = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    got = gelu(x)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_dropout_active_only_in_train_mode(toy_config):
@@ -539,9 +555,7 @@ def _ragged_batch():
     ]
 
 
-def test_padded_batch_forward_equals_single_rows(toy_params):
-    params = widen_parameters(toy_params, seed=3)
-    batch = _ragged_batch()
+def _assert_forward_equals_single_rows(params, batch):
     probs = forward(params, batch).probabilities
     for row, seq in enumerate(batch):
         np.testing.assert_allclose(
@@ -549,15 +563,22 @@ def test_padded_batch_forward_equals_single_rows(toy_params):
         )
 
 
-def test_padded_batch_gradients_equal_mean_of_single_rows(toy_params):
-    params = widen_parameters(toy_params, seed=3)
-    batch = _ragged_batch()
-    labels = [1, 0, 0, 1, 1]
+def _assert_gradients_equal_mean_of_single_rows(params, batch, labels):
     _, grads = backward(params, batch, labels)
     singles = [backward(params, [seq], [label])[1] for seq, label in zip(batch, labels)]
     for name in grads:
         mean = sum(g[name] for g in singles) / len(batch)
         np.testing.assert_allclose(grads[name], mean, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_padded_batch_forward_equals_single_rows(toy_params):
+    _assert_forward_equals_single_rows(widen_parameters(toy_params, seed=3), _ragged_batch())
+
+
+def test_padded_batch_gradients_equal_mean_of_single_rows(toy_params):
+    _assert_gradients_equal_mean_of_single_rows(
+        widen_parameters(toy_params, seed=3), _ragged_batch(), [1, 0, 0, 1, 1]
+    )
 
 
 def test_embedding_gradients_exactly_zero_at_padding(toy_params):
@@ -588,15 +609,89 @@ def test_train_cache_holds_real_positions_only(toy_config):
         }
         for arr in _arrays_in(positionwise):
             assert arr.shape[0] == n_real
-        assert lc["probs"].shape == (5, cfg.num_heads, 16, 16)
+        # one group per distinct real length (3, 5, 7, 12, 16), one sequence each
+        assert [probs.shape for probs in lc["probs"]] == [
+            (1, cfg.num_heads, n, n) for n in (3, 5, 7, 12, 16)
+        ]
+
+
+def _repeated_length_batch():
+    rng = np.random.default_rng(6)
+    return [
+        make_seq([2, *rng.integers(5, 100, n - 2).tolist(), 3], n, 16)
+        for n in (12, 5, 12, 3, 5)
+    ]
+
+
+def test_repeated_length_batch_forward_equals_single_rows(toy_params):
+    batch = _repeated_length_batch()
+    assert [n for n, _ in model_mod._Packing(batch_arrays(batch)[1]).groups] == [3, 5, 12]
+    _assert_forward_equals_single_rows(widen_parameters(toy_params, seed=3), batch)
+
+
+def test_repeated_length_batch_gradients_equal_mean_of_single_rows(toy_params):
+    _assert_gradients_equal_mean_of_single_rows(
+        widen_parameters(toy_params, seed=3), _repeated_length_batch(), [1, 0, 0, 1, 1]
+    )
+
+
+def test_train_cache_holds_attention_of_real_positions_only(toy_params):
+    batch = _repeated_length_batch()
+    out = forward(toy_params, batch, train_mode=True)
+    h = toy_params.config.num_heads
+    lengths = [seq.real_length for seq in batch]
+    for lc in out.cache["layers"]:
+        held = sum(probs.size for probs in lc["probs"])
+        assert held == h * sum(n * n for n in lengths)  # not B * h * 16 * 16
+
+
+def _key_masked_attention(q, k, v, packing, h, probs_cache):
+    """Reference: every query position attends over the whole (B, T) width,
+    with an additive -1e9 on the scores of padded keys."""
+    b, t = packing.shape
+    real = np.ones(b * t, dtype=bool)
+    if packing.index is not None:
+        real[:] = False
+        real[packing.index] = True
+    key_add = np.where(real.reshape(b, 1, 1, t), 0.0, -1e9)
+
+    def heads(rows):
+        return packing.scatter(rows).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
+
+    scores = heads(q) @ heads(k).transpose(0, 1, 3, 2) / np.sqrt(q.shape[1] // h)
+    ctx = softmax(scores + key_add, axis=-1) @ heads(v)
+    return packing.gather(ctx.transpose(0, 2, 1, 3).reshape(b, t, -1))
+
+
+def test_mask_with_holes_matches_key_masked_reference(toy_params, monkeypatch):
+    # padded positions between real ones; the rows have 6, 4 and 6 real positions
+    params = widen_parameters(toy_params, seed=3)
+    ids = np.random.default_rng(2).integers(5, 100, (3, 9))
+    mask = np.array([
+        [1, 1, 0, 1, 1, 0, 1, 1, 0],
+        [1, 0, 0, 1, 1, 1, 0, 0, 0],
+        [1, 1, 1, 1, 1, 1, 0, 0, 0],
+    ], dtype=np.float64)
+    emb = embed(params, ids)
+    grouped = forward_from_embeddings(params, emb, mask).probabilities
+    monkeypatch.setattr(model_mod, "_attention", _key_masked_attention)
+    reference = forward_from_embeddings(params, emb, mask).probabilities
+    np.testing.assert_allclose(grouped, reference, rtol=0, atol=1e-12)
 
 
 class _FullWidth(model_mod._Packing):
-    """Reference layout: every position of the batch runs, padding included
-    (attention still masks the padded keys)."""
+    """Reference layout: every position of the batch runs, padding included,
+    but attention groups only the real positions, so padded query rows get
+    a zero context and padded keys get no attention."""
 
     def __init__(self, mask):
         super().__init__(np.ones_like(mask))
+        real = mask != 0.0
+        lengths = real.sum(axis=1)
+        self.groups = [  # flat index b*T + t is the full-width row of (b, t)
+            (int(n), np.flatnonzero(real & (lengths == n)[:, None]))
+            for n in np.unique(lengths)
+        ]
 
 
 def test_seeded_dropout_training_matches_full_width_reference(vocab, monkeypatch):

@@ -9,6 +9,7 @@ from phishlens.corpus import SplitCorpus, split
 from phishlens.model import ModelConfig, init_parameters
 from phishlens.training import (
     EpochStats,
+    NonFiniteTrainingError,
     OptimizerState,
     TrainConfig,
     adamw_step,
@@ -152,6 +153,19 @@ def test_empty_train_partition_rejected(vocab):
     )
     with pytest.raises(ValueError):
         train(_toy_model(vocab), empty_parts, vocab, TrainConfig())
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_non_finite_step_stops_training_before_the_update(vocab):
+    _, parts, cfg = _toy_setup(40)
+    params = _toy_model(vocab)
+    params.tensors["layer0.ffn_in.weight"][3, 5] = np.inf
+    before = {k: v.copy() for k, v in params.tensors.items()}
+    with pytest.raises(NonFiniteTrainingError, match=r"^epoch 0, batch 0: ") as info:
+        train(params, parts, vocab, cfg)
+    assert isinstance(info.value, ValueError)
+    for name in before:
+        np.testing.assert_array_equal(params.tensors[name], before[name], err_msg=name)
 
 
 def test_toy_separable_corpus_learns(vocab):
