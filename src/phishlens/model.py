@@ -5,7 +5,11 @@ Everything is plain numpy. Shapes: (B, T, D) batch/sequence/hidden, (N, D)
 for the N real positions of a batch packed one after another (see _Packing;
 all position-wise work runs there), and (G, h, L, d) per attention head for
 the G sequences of one real length L: attention runs within each sequence's
-own real positions, so it needs no key mask.
+own real positions, so it needs no key mask. The head reads only the [CLS]
+row of each sequence, so the last layer computes only those B rows: keys
+and values still cover all N rows, but queries, attention ((G, h, 1, L)
+probabilities), the output projection, the layer norms and the feed-forward
+run on the B [CLS] rows, and the result is the head's input.
 Default dtype is float64 so finite-difference gradient checks are
 meaningful; a float32 model computes in float32 (scalar constants are
 Python floats, which never promote an array).
@@ -55,12 +59,22 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        least = {
+            "vocab_size": 1, "max_positions": 1, "hidden_dim": 1, "num_heads": 1,
+            "num_layers": 0, "ffn_dim": 1, "num_classes": 1,
+        }
+        for name, low in least.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be at least {low}, got {value}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
-        if min(self.vocab_size, self.max_positions, self.hidden_dim, self.num_layers + 1) < 1:
-            raise ConfigError("config dimensions must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -173,21 +187,32 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # 0.5 * x * (1 + erf(x / sqrt 2)) in one buffer; the halving is exact,
-    # so the order of the products does not change a bit
+def gelu_phi(x: np.ndarray) -> np.ndarray:
+    """1 + erf(x / sqrt 2), twice the normal CDF: the one erf that gelu and
+    gelu_grad share, so a training step computes it once."""
     t = np.divide(x, math.sqrt(2.0))
     erf(t, out=t)
     t += 1.0
-    t *= x
+    return t
+
+
+def gelu(x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
+    # 0.5 * x * (1 + erf(x / sqrt 2)) in one buffer, from `phi` = gelu_phi(x)
+    # if the caller keeps it; the halving is exact, so the order of the
+    # products does not change a bit
+    if phi is None:
+        t = gelu_phi(x)
+        t *= x
+    else:
+        t = phi * x
     t *= 0.5
     return t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d gelu / dx, from x and its gelu_phi(x) term."""
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+    return 0.5 * phi + x * pdf
 
 
 def _layer_norm(x, scale, shift):
@@ -215,7 +240,8 @@ class _Packing:
     positions are consecutive rows.
 
     `index` holds those flat indices, or is None when every position is
-    real; gather and scatter are then plain reshapes.
+    real; gather and scatter are then plain reshapes. `size` is the number
+    of packed rows, and `cls_rows` the packed row of each sequence's [CLS].
 
     `groups` lists, for each distinct real length L, (L, rows): the packed
     rows of the G sequences of that length, sequence after sequence, so
@@ -230,8 +256,8 @@ class _Packing:
         self.shape = mask.shape
         flat = real.reshape(-1)
         self.index = None if flat.all() else np.flatnonzero(flat)
+        self.size = flat.size if self.index is None else self.index.size
         lengths = real.sum(axis=1)
-        # the packed row of each sequence's [CLS]
         self.cls_rows = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         distinct = np.unique(lengths)
         if len(distinct) == 1:
@@ -256,12 +282,15 @@ class _Packing:
         return out.reshape(*self.shape, *rows.shape[1:])
 
 
-def _dropout(x, rate, rng, packing: _Packing):
-    """Dropout on packed rows. The mask is drawn over the whole (B, T, n)
-    batch and then gathered, so the rng stream and the mask at each real
-    position do not depend on where the padding is."""
-    drawn = rng.random((*packing.shape, x.shape[-1])) >= rate
-    keep = packing.gather(drawn).astype(x.dtype) / (1.0 - rate)
+def _dropout(x, rate, rng, packing: _Packing, queries=None):
+    """Dropout on packed rows, or on the packed rows `queries` only. The
+    mask is drawn over the whole (B, T, n) batch and then gathered, so the
+    rng stream and the mask at each real position do not depend on where
+    the padding is or on which rows a layer computes."""
+    drawn = packing.gather(rng.random((*packing.shape, x.shape[-1])) >= rate)
+    if queries is not None:
+        drawn = drawn[queries]
+    keep = drawn.astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 
@@ -354,10 +383,12 @@ def _run_encoder(
     x = packing.gather(embeddings)
     if rng is not None:
         x, embed_keep = _dropout(x, cfg.dropout_rate, rng, packing)
+    queries = None
     for i in range(cfg.num_layers):
-        x = _encoder_layer(p, f"layer{i}.", x, packing, cfg, rng, layers)
+        queries = _query_rows(packing, i, cfg.num_layers)
+        x = _encoder_layer(p, f"layer{i}.", x, packing, queries, cfg, rng, layers)
 
-    cls_vec = x[packing.cls_rows]
+    cls_vec = x[packing.cls_rows] if queries is None else x
     pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
     pre_act = np.maximum(pre_lin, 0.0)
     logits = pre_act @ p["classifier.weight"] + p["classifier.bias"]
@@ -366,22 +397,29 @@ def _run_encoder(
     if cache is not None:
         cache.update(
             mask=mask, packing=packing, layers=layers,
-            final_hidden=x, cls_vec=cls_vec, pre_lin=pre_lin, pre_act=pre_act,
+            cls_vec=cls_vec, pre_lin=pre_lin, pre_act=pre_act,
         )
         if rng is not None:
             cache["embed_keep"] = embed_keep
     return ForwardOutput(logits=logits, probabilities=probs_out, cache=cache)
 
 
+def _query_rows(packing: _Packing, layer: int, num_layers: int):
+    """The packed rows whose outputs a layer computes, None for all of them.
+    The head reads only the [CLS] rows of the last layer, so that layer
+    computes those alone (its keys and values still cover every row)."""
+    return packing.cls_rows if layer == num_layers - 1 else None
+
+
 def _heads(m, rows, n: int, h: int) -> np.ndarray:
-    """The packed (N, D) rows of one length group -> (G, h, n, D/h)."""
+    """The (·, D) rows `rows` (None: all) of G sequences -> (G, h, n, D/h)."""
     if rows is not None:
         m = m[rows]
     return m.reshape(-1, n, h, m.shape[1] // h).transpose(0, 2, 1, 3)
 
 
 def _unheads(m, rows, out: np.ndarray) -> None:
-    """Write (G, h, n, D/h) into the group's rows of the packed (N, D) `out`."""
+    """Write (G, h, n, D/h) into the rows `rows` (None: all) of `out`."""
     g, h, n, hd = m.shape
     if rows is None:
         out.reshape(g, n, h, hd)[...] = m.transpose(0, 2, 1, 3)
@@ -389,63 +427,85 @@ def _unheads(m, rows, out: np.ndarray) -> None:
         out[rows] = m.transpose(0, 2, 1, 3).reshape(g * n, h * hd)
 
 
-def _attention(q, k, v, packing: _Packing, h: int, probs_cache: list | None):
+def _query_groups(packing: _Packing, queries):
+    """Per length group, (n, rows, m, q_rows): the packed rows of its
+    sequences of n positions, as in packing.groups, and where its m query
+    positions per sequence sit among the query rows. Without `queries` every
+    position queries (m = n, q_rows = rows); with them (the [CLS] rows, in
+    packed order) only each sequence's first (m = 1), and q_rows index
+    `queries`."""
+    for n, rows in packing.groups:
+        if queries is None:
+            yield n, rows, n, rows
+        else:
+            yield n, rows, 1, None if rows is None else np.searchsorted(queries, rows[::n])
+
+
+def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | None):
     """Scaled dot-product attention of each sequence over its own real
-    positions, one length group at a time; returns the merged (N, D)
-    context (zero on rows outside every group). The probabilities of each
-    group, (G, h, L, L), are appended to `probs_cache` unless it is None."""
+    positions, one length group at a time. k and v hold every packed row;
+    q holds the rows `queries` (None: every row), and so does the merged
+    context returned (zero on rows outside every group). The probabilities
+    of each group, (G, h, m, n) for m query positions per sequence, are
+    appended to `probs_cache` unless it is None."""
     merged = np.zeros(q.shape, dtype=q.dtype)  # C order: _unheads writes through a reshape
     root_d = math.sqrt(q.shape[1] // h)
-    for n, rows in packing.groups:
-        scores = _heads(q, rows, n, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
+    for n, rows, m, q_rows in _query_groups(packing, queries):
+        scores = _heads(q, q_rows, m, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
         scores /= root_d
         probs = softmax(scores, axis=-1)
         del scores
-        _unheads(probs @ _heads(v, rows, n, h), rows, merged)
+        _unheads(probs @ _heads(v, rows, n, h), q_rows, merged)
         if probs_cache is not None:
             probs_cache.append(probs)
     return merged
 
 
-def _attention_backward(d_merged, q, k, v, packing: _Packing, h: int, probs_cache):
-    """Gradients of _attention's output with respect to packed q, k and v."""
+def _attention_backward(d_merged, q, k, v, packing: _Packing, queries, h: int, probs_cache):
+    """Gradients of _attention's output with respect to its q, k and v."""
     dq, dk, dv = (np.zeros(m.shape, dtype=m.dtype) for m in (q, k, v))
     scale = 1.0 / math.sqrt(q.shape[1] // h)
-    for (n, rows), probs in zip(packing.groups, probs_cache, strict=True):
-        d_ctx = _heads(d_merged, rows, n, h)
-        qh, kh, vh = (_heads(m, rows, n, h) for m in (q, k, v))
+    groups = _query_groups(packing, queries)
+    for (n, rows, m, q_rows), probs in zip(groups, probs_cache, strict=True):
+        d_ctx = _heads(d_merged, q_rows, m, h)
+        qh = _heads(q, q_rows, m, h)
+        kh, vh = (_heads(a, rows, n, h) for a in (k, v))
         _unheads(probs.transpose(0, 1, 3, 2) @ d_ctx, rows, dv)
         d_probs = d_ctx @ vh.transpose(0, 1, 3, 2)
         rowdot = (d_probs * probs).sum(axis=-1, keepdims=True)
         d_scores = (d_probs - rowdot) * probs
-        _unheads(d_scores @ kh * scale, rows, dq)
+        _unheads(d_scores @ kh * scale, q_rows, dq)
         _unheads(d_scores.transpose(0, 1, 3, 2) @ qh * scale, rows, dk)
     return dq, dk, dv
 
 
-def _encoder_layer(p, pre, x, packing, cfg, rng, layers: list | None) -> np.ndarray:
-    """One post-layer-norm block over the packed (N, D) rows; dropout iff rng
-    is given, and the layer's backward cache is appended to `layers` unless
-    it is None."""
+def _encoder_layer(p, pre, x, packing, queries, cfg, rng, layers: list | None) -> np.ndarray:
+    """One post-layer-norm block: keys and values over the packed (N, D)
+    rows x, everything else over the rows `queries` of x (None: all), whose
+    outputs it returns. Dropout iff rng is given; the layer's backward cache
+    is appended to `layers` unless it is None."""
     lc: dict = {"x_in": x}
-    q = x @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
+    xq = x if queries is None else x[queries]
+    q = xq @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
     k = x @ p[pre + "attn_k.weight"] + p[pre + "attn_k.bias"]
     v = x @ p[pre + "attn_v.weight"] + p[pre + "attn_v.bias"]
 
     probs = None if layers is None else []
-    merged = _attention(q, k, v, packing, cfg.num_heads, probs)
+    merged = _attention(q, k, v, packing, queries, cfg.num_heads, probs)
     attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
     if rng is not None:
-        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng, packing)
+        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng, packing, queries)
     h1, ln1_cache = _layer_norm(
-        x + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
+        xq + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
     )
 
     ffn_pre = h1 @ p[pre + "ffn_in.weight"] + p[pre + "ffn_in.bias"]
-    ffn_act = gelu(ffn_pre)
+    # a pass that keeps a cache keeps gelu's erf term for the backward
+    ffn_phi = None if layers is None else gelu_phi(ffn_pre)
+    ffn_act = gelu(ffn_pre, ffn_phi)
     ffn_out = ffn_act @ p[pre + "ffn_out.weight"] + p[pre + "ffn_out.bias"]
     if rng is not None:
-        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, rng, packing)
+        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, rng, packing, queries)
     h2, ln2_cache = _layer_norm(
         h1 + ffn_out, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"]
     )
@@ -453,7 +513,7 @@ def _encoder_layer(p, pre, x, packing, cfg, rng, layers: list | None) -> np.ndar
     if layers is not None:
         lc.update(
             q=q, k=k, v=v, probs=probs, merged=merged,
-            h1=h1, ln1=ln1_cache, ffn_pre=ffn_pre, ffn_act=ffn_act, ln2=ln2_cache,
+            h1=h1, ln1=ln1_cache, ffn_pre=ffn_pre, ffn_phi=ffn_phi, ln2=ln2_cache,
         )
         layers.append(lc)
     return h2
@@ -549,12 +609,20 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         grads["prehead.bias"] = d_pre_lin.sum(axis=0)
     d_cls = d_pre_lin @ p["prehead.weight"].T
 
-    dx = np.zeros_like(cache["final_hidden"])
-    dx[packing.cls_rows] = d_cls
+    # d_cls is the gradient of the last layer's output when that layer
+    # computed the [CLS] rows alone; otherwise (or with no layers) the head
+    # read those rows out of all N packed rows
+    last = _query_rows(packing, cfg.num_layers - 1, cfg.num_layers) if cfg.num_layers else None
+    if last is None:
+        dx = np.zeros((packing.size, d_cls.shape[1]), dtype=d_cls.dtype)
+        dx[packing.cls_rows] = d_cls
+    else:
+        dx = d_cls
 
     for i in reversed(range(cfg.num_layers)):
         pre = f"layer{i}."
         lc = cache["layers"][i]
+        queries = _query_rows(packing, i, cfg.num_layers)
 
         d_sum2, d_scale2, d_shift2 = _layer_norm_backward(
             dx, lc["ln2"], p[pre + "ffn_norm.scale"]
@@ -568,10 +636,12 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
             d_ffn_out = d_ffn_out * lc["ffn_keep"]
 
         if want_param_grads:
-            grads[pre + "ffn_out.weight"] = lc["ffn_act"].T @ d_ffn_out
+            ffn_act = gelu(lc["ffn_pre"], lc["ffn_phi"])  # recomputed, not cached
+            grads[pre + "ffn_out.weight"] = ffn_act.T @ d_ffn_out
+            del ffn_act
             grads[pre + "ffn_out.bias"] = d_ffn_out.sum(axis=0)
         d_ffn_act = d_ffn_out @ p[pre + "ffn_out.weight"].T
-        d_ffn_pre = d_ffn_act * gelu_grad(lc["ffn_pre"])
+        d_ffn_pre = d_ffn_act * gelu_grad(lc["ffn_pre"], lc["ffn_phi"])
         if want_param_grads:
             grads[pre + "ffn_in.weight"] = lc["h1"].T @ d_ffn_pre
             grads[pre + "ffn_in.bias"] = d_ffn_pre.sum(axis=0)
@@ -583,7 +653,7 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         if want_param_grads:
             grads[pre + "attn_norm.scale"] = d_scale1
             grads[pre + "attn_norm.shift"] = d_shift1
-        d_x = d_sum1.copy()
+        d_xq = d_sum1.copy()
         d_attn = d_sum1
         if "attn_keep" in lc:
             d_attn = d_attn * lc["attn_keep"]
@@ -591,17 +661,26 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         if want_param_grads:
             grads[pre + "attn_out.weight"] = lc["merged"].T @ d_attn
             grads[pre + "attn_out.bias"] = d_attn.sum(axis=0)
-        d_qkv = _attention_backward(
+        dq, dk, dv = _attention_backward(
             d_attn @ p[pre + "attn_out.weight"].T,
-            lc["q"], lc["k"], lc["v"], packing, cfg.num_heads, lc["probs"],
+            lc["q"], lc["k"], lc["v"], packing, queries, cfg.num_heads, lc["probs"],
         )
 
+        # dq reaches the query rows, dk and dv every row
         x_in = lc["x_in"]
-        for dname, dm in zip(("attn_q", "attn_k", "attn_v"), d_qkv):
-            if want_param_grads:
-                grads[pre + dname + ".weight"] = x_in.T @ dm
+        xq = x_in if queries is None else x_in[queries]
+        if want_param_grads:
+            for dname, dm, src in (("attn_q", dq, xq), ("attn_k", dk, x_in), ("attn_v", dv, x_in)):
+                grads[pre + dname + ".weight"] = src.T @ dm
                 grads[pre + dname + ".bias"] = dm.sum(axis=0)
-            d_x += dm @ p[pre + dname + ".weight"].T
+        d_xq += dq @ p[pre + "attn_q.weight"].T
+        if queries is None:
+            d_x = d_xq
+        else:
+            d_x = np.zeros_like(x_in)
+            d_x[queries] = d_xq
+        d_x += dk @ p[pre + "attn_k.weight"].T
+        d_x += dv @ p[pre + "attn_v.weight"].T
         dx = d_x
 
     if "embed_keep" in cache:

@@ -627,6 +627,12 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("train", "model", {"num_heads": 3}),  # hidden_dim 16
         ("explain", "lime", {"samples": 3}),
         ("train", "train", {"max_len": "16"}),
+        ("train", "model", {"num_heads": 0}),
+        ("train", "model", {"num_heads": -2}),
+        ("train", "model", {"ffn_dim": -4}),
+        ("train", "model", {"num_classes": 0}),
+        ("train", "model", {"dropout_rate": 1.0}),
+        ("train", "model", {"num_layers": 1.5}),
     ],
 )
 def test_rejected_config_section_is_usage_error(

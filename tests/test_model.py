@@ -21,6 +21,8 @@ from phishlens.model import (
     forward,
     forward_from_embeddings,
     gelu,
+    gelu_grad,
+    gelu_phi,
     grad_wrt_embeddings,
     init_parameters,
     load_checkpoint,
@@ -92,6 +94,27 @@ def test_invalid_config_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"num_heads": 0}, "num_heads must be at least 1, got 0"),
+        ({"num_heads": -2}, "num_heads must be at least 1, got -2"),
+        ({"ffn_dim": -4}, "ffn_dim must be at least 1, got -4"),
+        ({"num_classes": 0}, "num_classes must be at least 1, got 0"),
+        ({"num_layers": -1}, "num_layers must be at least 0, got -1"),
+        ({"num_heads": 2.0}, "num_heads must be an integer, got 2.0"),
+        ({"num_layers": 1.5}, "num_layers must be an integer, got 1.5"),
+        ({"hidden_dim": True}, "hidden_dim must be an integer, got True"),
+        ({"dropout_rate": 1.0}, r"dropout_rate must lie in \[0, 1\), got 1.0"),
+        ({"dropout_rate": -0.1}, r"dropout_rate must lie in \[0, 1\), got -0.1"),
+        ({"dropout_rate": float("nan")}, r"dropout_rate must lie in \[0, 1\), got nan"),
+    ],
+)
+def test_out_of_range_config_values_rejected(change, message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(ModelConfig.toy(), **change)
+
+
 def test_forward_shapes_and_probability_rows(toy_params):
     out = forward(toy_params, toy_batch())
     assert out.logits.shape == (2, 2)
@@ -131,10 +154,12 @@ def test_attention_rows_normalized_and_masked_weights_zero(toy_params):
     out = forward(toy_params, toy_batch(), train_mode=True)
     lengths = out.cache["mask"].sum(axis=1)
     groups = out.cache["packing"].groups
-    for lc in out.cache["layers"]:
+    layers = out.cache["layers"]
+    for i, lc in enumerate(layers):
         key_counts = []
-        for (n, _), probs in zip(groups, lc["probs"], strict=True):  # (G, h, n, n)
-            assert probs.shape[-2:] == (n, n)
+        for (n, _), probs in zip(groups, lc["probs"], strict=True):  # (G, h, m, n)
+            # the last layer computes only the [CLS] query row of each sequence
+            assert probs.shape[-2:] == (1 if i == len(layers) - 1 else n, n)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
             key_counts += [n] * probs.shape[0]
         # each sequence has exactly one key column per real position: none for padding
@@ -153,6 +178,17 @@ def test_gelu_bit_identical_to_the_textbook_formula(dtype):
     got = gelu(x)
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_from_its_kept_erf_term_is_bit_identical(dtype):
+    x = (np.random.default_rng(1).normal(size=(64, 96)) * 4.0).astype(dtype)
+    phi = gelu_phi(x)
+    np.testing.assert_array_equal(phi, 1.0 + erf(x / math.sqrt(2.0)))
+    np.testing.assert_array_equal(gelu(x, phi), gelu(x))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    textbook = 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * pdf
+    np.testing.assert_array_equal(gelu_grad(x, phi), textbook)
 
 
 def test_dropout_active_only_in_train_mode(toy_config):
@@ -600,18 +636,23 @@ def test_train_cache_holds_real_positions_only(toy_config):
     n_real = sum(seq.real_length for seq in batch)  # 43 of 5 x 16 positions
     out = forward(params, batch, train_mode=True, rng=np.random.default_rng(0))
     cache = out.cache
-    assert cache["final_hidden"].shape[0] == cache["embed_keep"].shape[0] == n_real
-    for lc in cache["layers"]:
+    assert cache["embed_keep"].shape[0] == n_real
+    assert cache["cls_vec"].shape[0] == len(batch)
+    for i, lc in enumerate(cache["layers"]):
+        last = i == cfg.num_layers - 1
         positionwise = {k: v for k, v in lc.items() if k != "probs"}
         assert set(positionwise) == {
             "x_in", "q", "k", "v", "merged", "attn_keep", "h1", "ln1",
-            "ffn_pre", "ffn_act", "ffn_keep", "ln2",
+            "ffn_pre", "ffn_phi", "ffn_keep", "ln2",
         }
-        for arr in _arrays_in(positionwise):
-            assert arr.shape[0] == n_real
+        for name, value in positionwise.items():
+            # past its keys and values, the last layer holds the [CLS] rows only
+            rows = len(batch) if last and name not in ("x_in", "k", "v") else n_real
+            for arr in _arrays_in(value):
+                assert arr.shape[0] == rows, name
         # one group per distinct real length (3, 5, 7, 12, 16), one sequence each
         assert [probs.shape for probs in lc["probs"]] == [
-            (1, cfg.num_heads, n, n) for n in (3, 5, 7, 12, 16)
+            (1, cfg.num_heads, 1 if last else n, n) for n in (3, 5, 7, 12, 16)
         ]
 
 
@@ -640,14 +681,21 @@ def test_train_cache_holds_attention_of_real_positions_only(toy_params):
     out = forward(toy_params, batch, train_mode=True)
     h = toy_params.config.num_heads
     lengths = [seq.real_length for seq in batch]
-    for lc in out.cache["layers"]:
+    layers = out.cache["layers"]
+    for i, lc in enumerate(layers):
         held = sum(probs.size for probs in lc["probs"])
-        assert held == h * sum(n * n for n in lengths)  # not B * h * 16 * 16
+        queries = [1 if i == len(layers) - 1 else n for n in lengths]  # per sequence
+        assert held == h * sum(m * n for m, n in zip(queries, lengths))  # not B * h * 16 * 16
 
 
-def _key_masked_attention(q, k, v, packing, h, probs_cache):
+def _key_masked_attention(q, k, v, packing, queries, h, probs_cache):
     """Reference: every query position attends over the whole (B, T) width,
-    with an additive -1e9 on the scores of padded keys."""
+    with an additive -1e9 on the scores of padded keys; q and the result
+    hold the packed rows `queries` only, unless it is None."""
+    if queries is not None:
+        q_all = np.zeros_like(k)
+        q_all[queries] = q
+        q = q_all
     b, t = packing.shape
     real = np.ones(b * t, dtype=bool)
     if packing.index is not None:
@@ -660,7 +708,8 @@ def _key_masked_attention(q, k, v, packing, h, probs_cache):
 
     scores = heads(q) @ heads(k).transpose(0, 1, 3, 2) / np.sqrt(q.shape[1] // h)
     ctx = softmax(scores + key_add, axis=-1) @ heads(v)
-    return packing.gather(ctx.transpose(0, 2, 1, 3).reshape(b, t, -1))
+    ctx = packing.gather(ctx.transpose(0, 2, 1, 3).reshape(b, t, -1))
+    return ctx if queries is None else ctx[queries]
 
 
 def test_mask_with_holes_matches_key_masked_reference(toy_params, monkeypatch):
@@ -710,3 +759,77 @@ def test_seeded_dropout_training_matches_full_width_reference(vocab, monkeypatch
         np.testing.assert_allclose(
             tensor, reference.tensors[name], rtol=0, atol=1e-12, err_msg=name
         )
+
+
+def _full_row_reference(packing, layer, num_layers):
+    """Reference: every layer, the last included, computes every packed row,
+    and the head picks the [CLS] rows out of the last layer's output."""
+    return None
+
+
+def _ragged_dropout_run(params, batch, labels, seed):
+    """Seeded-dropout train logits and gradients, and the gradient of a
+    seeded-dropout pass from the embeddings, on `batch`."""
+    out, grads = backward(params, batch, labels, rng=np.random.default_rng(seed))
+    ids, mask = batch_arrays(batch)
+    from_embeddings = forward_from_embeddings(
+        params, embed(params, ids), mask, train_mode=True, rng=np.random.default_rng(seed)
+    )
+    return out.logits, grads, grad_wrt_embeddings(params, from_embeddings, target=1)
+
+
+def _last_layer_query_rows(params, batch):
+    out = forward(params, batch, train_mode=True, rng=np.random.default_rng(0))
+    return out.cache["layers"][-1]["q"].shape[0]
+
+
+def test_cls_only_last_layer_matches_full_row_reference(toy_config, monkeypatch):
+    cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.1)
+    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
+    batch = _repeated_length_batch()  # lengths 12, 5, 12, 3, 5: three groups
+    labels = [1, 0, 0, 1, 1]
+    pruned = _ragged_dropout_run(params, batch, labels, seed=7)
+    eval_pruned = forward(params, batch).logits
+    assert _last_layer_query_rows(params, batch) == len(batch)
+
+    monkeypatch.setattr(model_mod, "_query_rows", _full_row_reference)
+    reference = _ragged_dropout_run(params, batch, labels, seed=7)
+    assert _last_layer_query_rows(params, batch) == sum(seq.real_length for seq in batch)
+
+    (logits, grads, d_embed), (ref_logits, ref_grads, ref_d_embed) = pruned, reference
+    np.testing.assert_allclose(eval_pruned, forward(params, batch).logits, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+    assert set(grads) == set(params.tensors)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(d_embed, ref_d_embed, rtol=0, atol=1e-12)
+
+
+def test_encoder_without_layers_runs_forward_and_backward(toy_config):
+    cfg = dataclasses.replace(toy_config, num_layers=0, dropout_rate=0.1)
+    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
+    batch = _ragged_batch()
+    labels = [1, 0, 0, 1, 1]
+    probs = forward(params, batch).probabilities
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    out, grads = backward(params, batch, labels, rng=np.random.default_rng(0))
+    assert np.isfinite(out.logits).all()
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+    # without dropout the gradients are exact: check them along a random direction
+    plain = dataclasses.replace(params, config=dataclasses.replace(cfg, dropout_rate=0.0))
+    _, grads = backward(plain, batch, labels)
+    rng = np.random.default_rng(1)
+    direction = {name: rng.normal(size=t.shape) for name, t in plain.tensors.items()}
+    analytic = sum(float((grads[name] * u).sum()) for name, u in direction.items())
+    fd = _directional_fd(plain, batch, labels, direction, step=1e-5)
+    assert abs(analytic - fd) < 1e-8, f"{analytic} vs {fd}"
+
+    # the head reads the [CLS] embedding alone, so only position 0 has a gradient
+    ids, mask = batch_arrays(batch)
+    from_embeddings = forward_from_embeddings(plain, embed(plain, ids), mask)
+    np.testing.assert_array_equal(from_embeddings.logits, forward(plain, batch).logits)
+    d_embed = grad_wrt_embeddings(plain, from_embeddings, target=1)
+    assert d_embed.shape == (*ids.shape, cfg.hidden_dim)
+    assert np.all(np.abs(d_embed[:, 0]).sum(axis=-1) > 0.0)
+    assert np.all(d_embed[:, 1:] == 0.0)
