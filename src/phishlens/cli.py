@@ -145,11 +145,14 @@ def _train_config(config: dict, model_cfg: ModelConfig, **overrides) -> TrainCon
 
 
 def _load_model(args: argparse.Namespace):
-    """Vocabulary, parameters and the checkpoint's record, refused unless the
-    vocabulary is the one the model was trained with."""
+    """Vocabulary, parameters and the checkpoint's record, refused unless every
+    weight is finite and the vocabulary is the one the model was trained with."""
     vocab_path, checkpoint = _require(args, "vocab"), _require(args, "checkpoint")
     vocab = load_vocabulary(vocab_path)
     params, record = load_checkpoint(checkpoint)
+    for name, tensor in params.tensors.items():
+        if not np.isfinite(tensor).all():
+            raise UsageError(f"{checkpoint}: tensor {name} holds a non-finite value")
     # the size check is all that a checkpoint without a record allows
     _check_vocab_size(vocab, params.config)
     recorded = record.get("vocab_sha256")

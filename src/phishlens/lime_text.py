@@ -235,6 +235,8 @@ def _check_probability_vector(probs: np.ndarray, n_classes: int, context: str) -
         raise ClassifierContractError(
             f"{context}: expected {n_classes} class probabilities, got {probs.shape[0]}"
         )
+    if not np.isfinite(probs).all():
+        raise ClassifierContractError(f"{context}: non-finite probability in {probs.tolist()}")
     if (probs < -1e-9).any():
         raise ClassifierContractError(f"{context}: negative probability {probs.min()}")
     if abs(probs.sum() - 1.0) > 1e-3:

@@ -499,6 +499,20 @@ def _inference_args(command, trained, vocab, config, out_dir):
     ]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_checkpoint_with_non_finite_weight_is_usage_error(
+    trained, tmp_path, capsys, command, bad
+):
+    params, record = load_checkpoint(str(trained / "model.phl"))
+    params.tensors["layer0.ffn_in.weight"][0, 0] = bad
+    save_checkpoint(params, str(tmp_path / "model.phl"), record)
+    code = main(_inference_args(command, tmp_path, VOCAB, CONFIG, tmp_path / "out"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "model.phl") in err and "layer0.ffn_in.weight" in err
+
+
 @pytest.mark.parametrize(
     "command,size",
     [("evaluate", 223), ("explain", 223), ("compare", 223), ("explain", 150)],

@@ -232,6 +232,9 @@ def test_explain_contract_violations():
         explain("some words here", lambda t: [-0.2, 1.2], cfg)
     with pytest.raises(ClassifierContractError):
         explain("some words here", lambda t: [0.2, 0.3, 0.5], cfg)
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]):
+        with pytest.raises(ClassifierContractError, match=r"^sample 0: non-finite"):
+            explain("some words here", lambda t, bad=bad: bad, cfg)
 
 
 def _per_sample_reference(text, classifier, cfg):
