@@ -10,6 +10,11 @@ row of each sequence, so the last layer computes only those B rows: keys
 and values still cover all N rows, but queries, attention ((G, h, 1, L)
 probabilities), the output projection, the layer norms and the feed-forward
 run on the B [CLS] rows, and the result is the head's input.
+Eval-mode forward and backward run a batch as contiguous row shards, one
+per CPU the process may use (`taskset -c 0` gives the one-shard pass); see
+_in_shards. During a sharded pass BLAS runs single-threaded, so BLAS calls
+made meanwhile by other threads of the process run single-threaded too, and
+a training step holds one extra gradient set per extra shard.
 Default dtype is float64 so finite-difference gradient checks are
 meaningful; a float32 model computes in float32 (scalar constants are
 Python floats, which never promote an array). float32 GELU takes its erf
@@ -20,12 +25,17 @@ uses scipy's erf.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import itertools
 import json
 import math
 import os
 import struct
+import threading
+from concurrent import futures
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -260,9 +270,15 @@ def gelu(x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
 
 
 def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """d gelu / dx, from x and its gelu_phi(x) term."""
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 0.5 * phi + x * pdf
+    """d gelu / dx = phi / 2 + x * pdf(x), from x and its gelu_phi(x) term,
+    in one buffer plus the halved phi."""
+    t = x * -0.5
+    t *= x
+    np.exp(t, out=t)
+    t /= math.sqrt(2.0 * math.pi)
+    t *= x
+    t += phi * 0.5
+    return t
 
 
 def _layer_norm(x, scale, shift):
@@ -334,16 +350,161 @@ class _Packing:
         return out.reshape(*self.shape, *rows.shape[1:])
 
 
-def _dropout(x, rate, rng, packing: _Packing, queries=None):
-    """Dropout on packed rows, or on the packed rows `queries` only. The
-    mask is drawn over the whole (B, T, n) batch and then gathered, so the
-    rng stream and the mask at each real position do not depend on where
-    the padding is or on which rows a layer computes."""
-    drawn = packing.gather(rng.random((*packing.shape, x.shape[-1])) >= rate)
+def _dropout_masks(cfg: ModelConfig, shape: tuple[int, int], rng) -> list[np.ndarray] | None:
+    """The keep masks of a train-mode pass over a (B, T) batch: one boolean
+    (B, T, D) array per dropout site, in the order the pass reaches them
+    (the embeddings, then each layer's attention output and feed-forward
+    output); None when the pass drops nothing. Drawn over the whole batch,
+    so the rng stream and the mask at each real position do not depend on
+    where the padding is, on which rows a layer computes, or on how the
+    batch is sharded."""
+    if cfg.dropout_rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("a train-mode pass with dropout needs an rng")
+    return [
+        rng.random((*shape, cfg.hidden_dim)) >= cfg.dropout_rate
+        for _ in range(1 + 2 * cfg.num_layers)
+    ]
+
+
+def _dropout(x, rate, drawn, packing: _Packing, queries=None):
+    """Dropout on packed rows, or on the packed rows `queries` only, with the
+    (B, T, n) keep mask `drawn`."""
+    kept = packing.gather(drawn)
     if queries is not None:
-        drawn = drawn[queries]
-    keep = drawn.astype(x.dtype) / (1.0 - rate)
+        kept = kept[queries]
+    keep = kept.astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
+
+
+# ------------------------------------------------------------------ shards
+
+# The (get, set) thread-count exports of one OpenBLAS build, under the names
+# that builds use: scipy-openblas wheels prefix "scipy_", ILP64 builds add
+# the "64_" suffix.
+_BLAS_THREAD_EXPORTS = [
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+]
+# Real tokens a shard needs to pay for its thread: below this a pass is too
+# short for its numpy calls to release the GIL for long, so two shards take
+# turns rather than run together. Measured on 2 cores, one shard against
+# two, B=2 rows of L real tokens each: small model (d=128, float64) 1.8
+# against 3.2 ms at L=16, level at L=64; desk model (d=256, float32) 15.2
+# against 18.0 ms at L=64, level at B=4.
+_MIN_SHARD_TOKENS = 128
+_blas_lock = threading.Lock()
+_blas_holders = 0  # sharded passes running now; the first saves, the last restores
+_blas_saved: list[int] = []
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the most shards a batch is split into."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the
+    process, found by file name in /proc/self/maps; () where there is none
+    or its thread count cannot be set."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {
+                parts[5].strip() for parts in (line.split(None, 5) for line in fh)
+                if len(parts) == 6 and "openblas" in os.path.basename(parts[5].strip())
+            }
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_EXPORTS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold every BLAS at one thread; the thread counts found on entry by
+    the first of any overlapping holders are restored by the last."""
+    global _blas_holders
+    controls = _blas_thread_controls()
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved[:] = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for (_, set_), n in zip(controls, _blas_saved):
+                    set_(n)
+
+
+@functools.cache
+def _pool(workers: int) -> futures.ThreadPoolExecutor:
+    return futures.ThreadPoolExecutor(workers, thread_name_prefix="phishlens-shard")
+
+
+def _shard_bounds(lengths: np.ndarray, shards: int) -> list[int]:
+    """Row bounds [0, ..., B] of `shards` contiguous shards of at least one
+    row each, every cut placed where the real tokens before it come nearest
+    to its share of the batch's."""
+    cum = np.cumsum(lengths)
+    rows = len(lengths)
+    bounds = [0]
+    for k in range(1, shards):
+        target = cum[-1] * k / shards
+        cut = int(np.searchsorted(cum, target)) + 1  # the fewest rows that reach target
+        if cut > 1 and target - cum[cut - 2] < cum[cut - 1] - target:
+            cut -= 1
+        bounds.append(min(max(cut, bounds[-1] + 1), rows - shards + k))
+    bounds.append(rows)
+    return bounds
+
+
+def _in_shards(mask: np.ndarray, run: Callable[[slice], object]) -> list:
+    """run(rows) for each contiguous row shard of the (B, T) batch `mask`,
+    results in shard order. The batch splits into one shard per CPU, at most
+    one per row and one per _MIN_SHARD_TOKENS real tokens, balanced by real
+    tokens. Shard 0 runs on the calling thread and the others on a pool of
+    CPUs - 1 threads, while BLAS is held at one thread, so each shard runs
+    whole on its own core. With one CPU, one row, a short batch, or a BLAS
+    whose thread count cannot be set, this is run(slice(0, B)).
+
+    `run` may call only private functions: perfbench's tracer wraps the
+    public ones, and its span stack is not thread-safe."""
+    rows, cpus = len(mask), _cpus()
+    lengths = (mask != 0.0).sum(axis=1)
+    shards = min(cpus, rows, int(lengths.sum()) // _MIN_SHARD_TOKENS)
+    if shards < 2 or not _blas_thread_controls():
+        return [run(slice(0, rows))]
+    bounds = _shard_bounds(lengths, shards)
+    slices = [slice(a, b) for a, b in itertools.pairwise(bounds)]
+    with _single_threaded_blas():
+        pending = [_pool(cpus - 1).submit(run, s) for s in slices[1:]]
+        try:
+            first = run(slices[0])
+        finally:
+            futures.wait(pending)
+    return [first, *(f.result() for f in pending)]
 
 
 # ------------------------------------------------------------------ forward
@@ -391,11 +552,26 @@ def forward(
 
     Only a train-mode pass keeps the backward cache; in eval mode `.cache`
     is None and each layer's activations are freed as soon as the next
-    layer has read them.
+    layer has read them. An eval-mode pass runs in row shards (_in_shards);
+    a train-mode pass runs whole.
     """
     ids, mask = batch_arrays(batch)
-    cache = {"ids": ids} if train_mode else None
-    return _run_encoder(params, embed(params, ids), mask, train_mode, rng, cache)
+    if train_mode:
+        keeps = _dropout_masks(params.config, mask.shape, rng)
+        return _run_encoder(params, embed(params, ids), mask, keeps, cache={"ids": ids})
+    return _joined(_in_shards(
+        mask, lambda rows: _run_encoder(params, embed(params, ids[rows]), mask[rows], None, None)
+    ))
+
+
+def _joined(outs: list[ForwardOutput]) -> ForwardOutput:
+    """The cache-free output of a batch from those of its row shards."""
+    if len(outs) == 1:
+        return outs[0]
+    return ForwardOutput(
+        logits=np.concatenate([o.logits for o in outs]),
+        probabilities=np.concatenate([o.probabilities for o in outs]),
+    )
 
 
 def forward_from_embeddings(
@@ -410,21 +586,15 @@ def forward_from_embeddings(
     Exposed separately so attribution code can walk the embedding path; the
     output always keeps the cache that grad_wrt_embeddings() reads.
     """
-    return _run_encoder(params, embeddings, mask, train_mode, rng, cache={})
+    keeps = _dropout_masks(params.config, np.shape(mask), rng) if train_mode else None
+    return _run_encoder(params, embeddings, mask, keeps, cache={})
 
 
-def _run_encoder(
-    params, embeddings, mask, train_mode, rng, cache: dict | None
-) -> ForwardOutput:
-    """Encoder stack and head; fills `cache` for _backward_core unless it is None."""
+def _run_encoder(params, embeddings, mask, keeps, cache: dict | None) -> ForwardOutput:
+    """Encoder stack and head, with dropout iff `keeps` holds the masks of
+    _dropout_masks; fills `cache` for _backward_core unless it is None."""
     cfg = params.config
     p = params.tensors
-    if train_mode and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("a train-mode pass with dropout needs an rng")
-    else:
-        rng = None  # no dropout
-
     t = embeddings.shape[1]
     if t > cfg.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {cfg.max_positions}")
@@ -433,12 +603,13 @@ def _run_encoder(
     layers = None if cache is None else []
 
     x = packing.gather(embeddings)
-    if rng is not None:
-        x, embed_keep = _dropout(x, cfg.dropout_rate, rng, packing)
+    if keeps is not None:
+        x, embed_keep = _dropout(x, cfg.dropout_rate, keeps[0], packing)
     queries = None
     for i in range(cfg.num_layers):
         queries = _query_rows(packing, i, cfg.num_layers)
-        x = _encoder_layer(p, f"layer{i}.", x, packing, queries, cfg, rng, layers)
+        drawn = None if keeps is None else keeps[1 + 2 * i : 3 + 2 * i]
+        x = _encoder_layer(p, f"layer{i}.", x, packing, queries, cfg, drawn, layers)
 
     cls_vec = x[packing.cls_rows] if queries is None else x
     pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
@@ -451,7 +622,7 @@ def _run_encoder(
             mask=mask, packing=packing, layers=layers,
             cls_vec=cls_vec, pre_lin=pre_lin, pre_act=pre_act,
         )
-        if rng is not None:
+        if keeps is not None:
             cache["embed_keep"] = embed_keep
     return ForwardOutput(logits=logits, probabilities=probs_out, cache=cache)
 
@@ -531,11 +702,12 @@ def _attention_backward(d_merged, q, k, v, packing: _Packing, queries, h: int, p
     return dq, dk, dv
 
 
-def _encoder_layer(p, pre, x, packing, queries, cfg, rng, layers: list | None) -> np.ndarray:
+def _encoder_layer(p, pre, x, packing, queries, cfg, drawn, layers: list | None) -> np.ndarray:
     """One post-layer-norm block: keys and values over the packed (N, D)
     rows x, everything else over the rows `queries` of x (None: all), whose
-    outputs it returns. Dropout iff rng is given; the layer's backward cache
-    is appended to `layers` unless it is None."""
+    outputs it returns. Dropout iff `drawn` holds the (B, T, D) keep masks of
+    the attention and feed-forward outputs; the layer's backward cache is
+    appended to `layers` unless it is None."""
     lc: dict = {"x_in": x}
     xq = x if queries is None else x[queries]
     q = xq @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
@@ -545,8 +717,8 @@ def _encoder_layer(p, pre, x, packing, queries, cfg, rng, layers: list | None) -
     probs = None if layers is None else []
     merged = _attention(q, k, v, packing, queries, cfg.num_heads, probs)
     attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
-    if rng is not None:
-        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, rng, packing, queries)
+    if drawn is not None:
+        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, drawn[0], packing, queries)
     h1, ln1_cache = _layer_norm(
         xq + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
     )
@@ -556,8 +728,8 @@ def _encoder_layer(p, pre, x, packing, queries, cfg, rng, layers: list | None) -
     ffn_phi = None if layers is None else gelu_phi(ffn_pre)
     ffn_act = gelu(ffn_pre, ffn_phi)
     ffn_out = ffn_act @ p[pre + "ffn_out.weight"] + p[pre + "ffn_out.bias"]
-    if rng is not None:
-        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, rng, packing, queries)
+    if drawn is not None:
+        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, drawn[1], packing, queries)
     h2, ln2_cache = _layer_norm(
         h1 + ffn_out, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"]
     )
@@ -607,17 +779,41 @@ def backward(
     """Train-mode forward over `batch`, then exact gradients of its mean
     cross-entropy loss for every parameter.
 
-    The cache is consumed here: the returned output has `cache=None`.
+    The pass runs in row shards (_in_shards), each with its rows of the
+    batch's dropout masks; their gradients, each already divided by the
+    whole batch's size, are summed in shard order. The cache is consumed
+    here: the returned output has `cache=None`.
     """
-    labels_arr = _label_array(labels, len(batch), params.config.num_classes)
-    out = forward(params, batch, train_mode=True, rng=rng)
-    cache, out.cache = out.cache, None
-    b = len(labels_arr)
-    dlogits = out.probabilities.copy()
-    dlogits[np.arange(b), labels_arr] -= 1.0
-    dlogits /= b
-    grads, _ = _backward_core(params, cache, dlogits, want_param_grads=True)
-    return out, grads
+    cfg = params.config
+    labels_arr = _label_array(labels, len(batch), cfg.num_classes)
+    ids, mask = batch_arrays(batch)
+    keeps = _dropout_masks(cfg, mask.shape, rng)
+
+    def step(rows: slice):
+        cache: dict = {}
+        shard_keeps = None if keeps is None else [k[rows] for k in keeps]
+        out = _run_encoder(params, embed(params, ids[rows]), mask[rows], shard_keeps, cache)
+        out.cache = None
+        dlogits = out.probabilities.copy()
+        dlogits[np.arange(len(dlogits)), labels_arr[rows]] -= 1.0
+        dlogits /= len(labels_arr)
+        grads, d_embed = _backward_core(params, cache, dlogits, want_param_grads=True)
+        return out, grads, cache["packing"].gather(ids[rows]), d_embed
+
+    shards = _in_shards(mask, step)
+    outs, grads = [], None
+    token_grad = np.zeros_like(params.tensors["token_embedding"])
+    while shards:  # each shard's gradients are dropped once added
+        out, shard_grads, packed_ids, d_embed = shards.pop(0)
+        outs.append(out)
+        np.add.at(token_grad, packed_ids, d_embed)
+        if grads is None:
+            grads = shard_grads
+        else:
+            for name, g in shard_grads.items():
+                grads[name] += g
+    grads["token_embedding"] = token_grad
+    return _joined(outs), {name: grads[name] for name in params.tensors}
 
 
 def grad_wrt_embeddings(
@@ -639,14 +835,11 @@ def grad_wrt_embeddings(
 
 def _backward_core(params, cache, dlogits, want_param_grads: bool):
     """Gradients from the cache of one pass: (parameter grads or None, the
-    packed (N, D) gradient of the embeddings)."""
+    packed (N, D) gradient of the embeddings). The parameter grads lack
+    token_embedding, which the caller builds from that gradient."""
     cfg = params.config
     p = params.tensors
-    grads: GradientSet = (
-        {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        if want_param_grads
-        else {}
-    )
+    grads: GradientSet = {}
 
     pre_act, pre_lin, cls_vec = cache["pre_act"], cache["pre_lin"], cache["cls_vec"]
     packing = cache["packing"]
@@ -692,8 +885,8 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
             grads[pre + "ffn_out.weight"] = ffn_act.T @ d_ffn_out
             del ffn_act
             grads[pre + "ffn_out.bias"] = d_ffn_out.sum(axis=0)
-        d_ffn_act = d_ffn_out @ p[pre + "ffn_out.weight"].T
-        d_ffn_pre = d_ffn_act * gelu_grad(lc["ffn_pre"], lc["ffn_phi"])
+        d_ffn_pre = gelu_grad(lc["ffn_pre"], lc["ffn_phi"])
+        d_ffn_pre *= d_ffn_out @ p[pre + "ffn_out.weight"].T
         if want_param_grads:
             grads[pre + "ffn_in.weight"] = lc["h1"].T @ d_ffn_pre
             grads[pre + "ffn_in.bias"] = d_ffn_pre.sum(axis=0)
@@ -739,8 +932,8 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         dx = dx * cache["embed_keep"]
 
     if want_param_grads:
-        np.add.at(grads["token_embedding"], packing.gather(cache["ids"]), dx)
         t = packing.shape[1]
+        grads["position_embedding"] = np.zeros_like(p["position_embedding"])
         grads["position_embedding"][:t] = packing.scatter(dx).sum(axis=0)
 
     return (grads if want_param_grads else None), dx

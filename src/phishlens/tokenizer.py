@@ -96,28 +96,36 @@ def _is_control(ch: str) -> bool:
     return unicodedata.category(ch).startswith("C")
 
 
-def pretokenize(text: str) -> list[str]:
-    """Lowercase, strip accents, and split into words and standalone punctuation."""
-    text = unicodedata.normalize("NFD", text.lower())
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text:
+class _PretokenizeTable(dict):
+    """str.translate table of pretokenize, filled as code points are first
+    seen: accents (Mn) and control characters map to "", whitespace to " ",
+    punctuation to " p ", and every other character to itself."""
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
         if unicodedata.category(ch) == "Mn" or _is_control(ch):
-            continue
-        if _is_whitespace(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
+            out = ""
+        elif _is_whitespace(ch):
+            out = " "
         elif _is_punctuation(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
+            out = f" {ch} "
         else:
-            current.append(ch)
-    if current:
-        tokens.append("".join(current))
-    return tokens
+            out = ch
+        self[cp] = out
+        return out
+
+
+_PRETOKENIZE = _PretokenizeTable()
+
+
+def pretokenize(text: str) -> list[str]:
+    """Lowercase, strip accents, and split into words and standalone punctuation.
+
+    Splits on " " only: the table has turned every whitespace character
+    into one, and str.split() would also split on characters it keeps
+    inside words (U+2028, U+2029)."""
+    text = unicodedata.normalize("NFD", text.lower()).translate(_PRETOKENIZE)
+    return [word for word in text.split(" ") if word]
 
 
 def split_word(word: str, token_to_id: dict, unk_token: str, max_chars: int) -> list[str]:

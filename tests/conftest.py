@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phishlens import model
 from phishlens.corpus import PHISHING, SAFE, EmailRecord, LabeledCorpus
 from phishlens.model import ModelConfig, init_parameters
 from phishlens.tokenizer import TokenSequence, load_vocabulary
@@ -19,6 +20,25 @@ SAFE_WORDS = [
     "budget", "review", "agenda", "planning", "status", "monday",
 ]
 FILLER_WORDS = ["the", "to", "and", "a", "please", "now", "today", "new"]
+
+
+@pytest.fixture
+def set_shards(monkeypatch):
+    """set_shards(n) runs every sharded model pass in up to n row shards,
+    however short the batch and however many CPUs there are (n=1: the plain
+    pass), so the threaded path runs on a one-CPU box too. Where no BLAS
+    thread count can be set, a stand-in control that only records the count
+    takes its place."""
+    monkeypatch.setattr(model, "_MIN_SHARD_TOKENS", 1)
+    if not model._blas_thread_controls():
+        threads = [1]
+        stand_in = ((lambda: threads[0], lambda n: threads.__setitem__(0, n)),)
+        monkeypatch.setattr(model, "_blas_thread_controls", lambda: stand_in)
+
+    def set_(n):
+        monkeypatch.setattr(model, "_cpus", lambda: n)
+
+    return set_
 
 
 @pytest.fixture(scope="session")

@@ -202,6 +202,17 @@ def test_gelu_from_its_kept_erf_term_is_bit_identical(dtype):
     same(gelu_grad(x, phi), textbook, 2.5e-7)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_gelu_grad_bit_identical_to_the_two_term_formula(dtype):
+    x = (np.random.default_rng(4).normal(size=(188, 102)) * 4.0).astype(dtype)
+    x[0, :4] = [0.0, -0.0, 40.0, -40.0]
+    phi = gelu_phi(x)
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    got = gelu_grad(x, phi)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, 0.5 * phi + x * pdf)
+
+
 def test_float32_gelu_phi_within_its_documented_bound():
     x = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
     phi = gelu_phi(x)

@@ -42,11 +42,8 @@ def test_tracer_wraps_every_binding_and_traces_forward_and_backward(toy_params, 
         tracer.enabled = False
         tracer.uninstall()
 
-    assert [span[0] for span in tracer.spans] == [
-        "model.forward", "model.backward", "model.forward",
-    ]
-    assert tracer.spans[2][3] == 1  # the training forward is a child span of backward
-    assert tracer.counts["model.forward_calls"] == 2
+    assert [span[0] for span in tracer.spans] == ["model.forward", "model.backward"]
+    assert tracer.counts["model.forward_calls"] == 1
     assert [getattr(module, attr) for module, attr in bindings] == originals
 
 
