@@ -336,8 +336,8 @@ def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
         labels = [r.label for r in parts.test.records]
 
     cm = metrics_mod.confusion(predictions, labels)
-    report_json = metrics_mod.report_to_dict(cm, LABEL_NAMES)
-    report_text = metrics_mod.report_to_text(cm, LABEL_NAMES)
+    report_json = metrics_mod.report_to_dict(cm)
+    report_text = metrics_mod.report_to_text(cm)
     (out_dir / "metrics.json").write_text(
         json.dumps(report_json, indent=2), encoding="utf-8"
     )

@@ -8,7 +8,7 @@ matched case-insensitively after trimming; Safe=0, Phishing=1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,8 +17,8 @@ SAFE, PHISHING = 0, 1
 LABEL_NAMES = ("Safe Email", "Phishing Email")  # indexed by label
 _LABEL_ALIASES = {name.lower(): label for label, name in enumerate(LABEL_NAMES)}
 
-DEFAULT_TEXT_COLUMN = "Email Text"
-DEFAULT_LABEL_COLUMN = "Email Type"
+TEXT_COLUMN = "Email Text"
+LABEL_COLUMN = "Email Type"
 
 
 class EmptyCorpusError(ValueError):
@@ -78,7 +78,6 @@ class SplitCorpus:
     train: LabeledCorpus
     test: LabeledCorpus
     train_fraction: float
-    seed: int = field(default=0)
 
 
 def _is_null_body(cell: str | None) -> bool:
@@ -86,11 +85,7 @@ def _is_null_body(cell: str | None) -> bool:
     return cell is None or not cell.strip()
 
 
-def load_corpus(
-    path: str,
-    text_column: str = DEFAULT_TEXT_COLUMN,
-    label_column: str = DEFAULT_LABEL_COLUMN,
-) -> LabeledCorpus:
+def load_corpus(path: str) -> LabeledCorpus:
     """Read a labeled email table, dropping null-body and unknown-label rows.
 
     Raises OSError for unreadable files, CorpusFormatError when a column is
@@ -105,14 +100,14 @@ def load_corpus(
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise EmptyCorpusError(f"{path}: empty file, no header row")
-            if text_column not in reader.fieldnames or label_column not in reader.fieldnames:
+            if TEXT_COLUMN not in reader.fieldnames or LABEL_COLUMN not in reader.fieldnames:
                 raise CorpusFormatError(
-                    f"{path}: expected columns {text_column!r} and {label_column!r}, "
+                    f"{path}: expected columns {TEXT_COLUMN!r} and {LABEL_COLUMN!r}, "
                     f"found {reader.fieldnames}"
                 )
             for row in reader:
-                body = row.get(text_column)
-                raw_label = row.get(label_column)
+                body = row.get(TEXT_COLUMN)
+                raw_label = row.get(LABEL_COLUMN)
                 if _is_null_body(body) or raw_label is None:
                     dropped += 1
                     continue
@@ -167,5 +162,4 @@ def split(corpus: LabeledCorpus, train_fraction: float, seed: int) -> SplitCorpu
         train=LabeledCorpus.from_records(train_recs, dropped_rows=corpus.dropped_rows),
         test=LabeledCorpus.from_records(test_recs),
         train_fraction=train_fraction,
-        seed=seed,
     )

@@ -94,7 +94,7 @@ def path_integrate(
 def _logit_grad_fn(params: ModelParameters, mask_row: np.ndarray, target: int):
     def grad_fn(points: np.ndarray) -> np.ndarray:
         mask = np.broadcast_to(mask_row, (points.shape[0], mask_row.shape[0]))
-        out = forward_from_embeddings(params, points, mask, train_mode=False)
+        out = forward_from_embeddings(params, points, mask)
         return grad_wrt_embeddings(params, out, target)
 
     return grad_fn
@@ -130,11 +130,9 @@ def word_attributions(
     params: ModelParameters,
     vocab: Vocabulary,
     cfg: IGConfig,
-    max_len: int | None = None,
+    max_len: int,
 ) -> AttributionRecord:
-    """Encode, predict, and attribute the predicted class per token."""
-    if max_len is None:
-        max_len = params.config.max_positions
+    """Encode to max_len, predict, and attribute the predicted class per token."""
     seq = encode(text, vocab, max_len)
     baseline = make_baseline(seq, vocab)
     out = forward(params, [seq, baseline], train_mode=False)

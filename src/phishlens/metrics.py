@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 from .corpus import LABEL_NAMES
 
-DEFAULT_CLASS_NAMES = LABEL_NAMES
+DEFAULT_CLASS_NAMES = LABEL_NAMES  # read by perfbench/run.py
 
 
 class Rate(NamedTuple):
@@ -138,12 +138,12 @@ def round_half_up(x: float, places: int) -> float:
     return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-def report_to_dict(cm: ConfusionMatrix, class_names: Sequence[str] = DEFAULT_CLASS_NAMES) -> dict:
+def report_to_dict(cm: ConfusionMatrix) -> dict:
     """JSON-ready report: raw 4-decimal ratios plus 2-decimal rounded values."""
     rep = classification_report(cm)
     per_class = {}
     for cls, stats in rep.per_class.items():
-        per_class[class_names[cls]] = {
+        per_class[LABEL_NAMES[cls]] = {
             "precision": round_half_up(stats.precision.value, 4),
             "recall": round_half_up(stats.recall.value, 4),
             "f1": round_half_up(stats.f1, 4),
@@ -161,23 +161,23 @@ def report_to_dict(cm: ConfusionMatrix, class_names: Sequence[str] = DEFAULT_CLA
     }
 
 
-def report_to_text(cm: ConfusionMatrix, class_names: Sequence[str] = DEFAULT_CLASS_NAMES) -> str:
+def report_to_text(cm: ConfusionMatrix) -> str:
     """Aligned plain-text confusion matrix, per-class table, and accuracy."""
     rep = classification_report(cm)
-    name_w = max(len(n) for n in class_names) + 2
+    name_w = max(len(n) for n in LABEL_NAMES) + 2
     lines = ["Confusion matrix (rows = actual, columns = predicted)"]
-    header = " " * name_w + "".join(f"{n:>{len(n) + 4}}" for n in class_names)
+    header = " " * name_w + "".join(f"{n:>{len(n) + 4}}" for n in LABEL_NAMES)
     lines.append(header)
-    for cls, name in enumerate(class_names):
+    for cls, name in enumerate(LABEL_NAMES):
         row = f"{name:<{name_w}}"
-        for p, pname in enumerate(class_names):
+        for p, pname in enumerate(LABEL_NAMES):
             row += f"{cm.table[cls][p]:>{len(pname) + 4}}"
         lines.append(row)
     lines.append("")
     lines.append(
         f"{'Class':<{name_w}}{'Precision':>10}{'Recall':>10}{'F1-score':>10}{'Support':>10}"
     )
-    for cls, name in enumerate(class_names):
+    for cls, name in enumerate(LABEL_NAMES):
         stats = rep.per_class[cls]
         lines.append(
             f"{name:<{name_w}}"

@@ -192,10 +192,11 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPa
 # ---------------------------------------------------------------- primitives
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = z - z.max(axis=axis, keepdims=True)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = z - z.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -575,19 +576,15 @@ def _joined(outs: list[ForwardOutput]) -> ForwardOutput:
 
 
 def forward_from_embeddings(
-    params: ModelParameters,
-    embeddings: np.ndarray,
-    mask: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    params: ModelParameters, embeddings: np.ndarray, mask: np.ndarray
 ) -> ForwardOutput:
-    """Run the encoder stack and classification head from given embeddings.
+    """Run the encoder stack and classification head from given embeddings,
+    without dropout.
 
     Exposed separately so attribution code can walk the embedding path; the
     output always keeps the cache that grad_wrt_embeddings() reads.
     """
-    keeps = _dropout_masks(params.config, np.shape(mask), rng) if train_mode else None
-    return _run_encoder(params, embeddings, mask, keeps, cache={})
+    return _run_encoder(params, embeddings, mask, None, cache={})
 
 
 def _run_encoder(params, embeddings, mask, keeps, cache: dict | None) -> ForwardOutput:
@@ -615,7 +612,7 @@ def _run_encoder(params, embeddings, mask, keeps, cache: dict | None) -> Forward
     pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
     pre_act = np.maximum(pre_lin, 0.0)
     logits = pre_act @ p["classifier.weight"] + p["classifier.bias"]
-    probs_out = softmax(logits, axis=-1)
+    probs_out = softmax(logits)
 
     if cache is not None:
         cache.update(
@@ -676,7 +673,7 @@ def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | 
     for n, rows, m, q_rows in _query_groups(packing, queries):
         scores = _heads(q, q_rows, m, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
         scores /= root_d
-        probs = softmax(scores, axis=-1)
+        probs = softmax(scores)
         del scores
         _unheads(probs @ _heads(v, rows, n, h), q_rows, merged)
         if probs_cache is not None:

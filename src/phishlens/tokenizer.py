@@ -128,15 +128,15 @@ def pretokenize(text: str) -> list[str]:
     return [word for word in text.split(" ") if word]
 
 
-def split_word(word: str, token_to_id: dict, unk_token: str, max_chars: int) -> list[str]:
+def split_word(word: str, token_to_id: dict) -> list[str]:
     """Greedy longest-prefix-match decomposition of one word.
 
     Continuation pieces carry the "##" prefix. A word with no full
-    decomposition (or longer than max_chars) collapses to the unknown token.
+    decomposition (or longer than MAX_WORD_CHARS) collapses to [UNK].
     """
     n = len(word)
-    if n > max_chars:
-        return [unk_token]
+    if n > MAX_WORD_CHARS:
+        return [UNK]
     pieces: list[str] = []
     start = 0
     while start < n:
@@ -151,7 +151,7 @@ def split_word(word: str, token_to_id: dict, unk_token: str, max_chars: int) -> 
                 break
             end -= 1
         if found is None:
-            return [unk_token]
+            return [UNK]
         pieces.append(found)
         start = end
     return pieces
@@ -161,7 +161,7 @@ def wordpiece_tokenize(text: str, vocab: Vocabulary) -> list[str]:
     """Lowercase/split text and greedily decompose each word into pieces."""
     pieces: list[str] = []
     for word in pretokenize(text):
-        pieces.extend(split_word(word, vocab.token_to_id, UNK, MAX_WORD_CHARS))
+        pieces.extend(split_word(word, vocab.token_to_id))
     return pieces
 
 

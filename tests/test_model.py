@@ -777,7 +777,7 @@ def _key_masked_attention(q, k, v, packing, queries, h, probs_cache):
         return packing.scatter(rows).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
 
     scores = heads(q) @ heads(k).transpose(0, 1, 3, 2) / np.sqrt(q.shape[1] // h)
-    ctx = softmax(scores + key_add, axis=-1) @ heads(v)
+    ctx = softmax(scores + key_add) @ heads(v)
     ctx = packing.gather(ctx.transpose(0, 2, 1, 3).reshape(b, t, -1))
     return ctx if queries is None else ctx[queries]
 
@@ -839,12 +839,10 @@ def _full_row_reference(packing, layer, num_layers):
 
 def _ragged_dropout_run(params, batch, labels, seed):
     """Seeded-dropout train logits and gradients, and the gradient of a
-    seeded-dropout pass from the embeddings, on `batch`."""
+    dropout-free pass from the embeddings, on `batch`."""
     out, grads = backward(params, batch, labels, rng=np.random.default_rng(seed))
     ids, mask = batch_arrays(batch)
-    from_embeddings = forward_from_embeddings(
-        params, embed(params, ids), mask, train_mode=True, rng=np.random.default_rng(seed)
-    )
+    from_embeddings = forward_from_embeddings(params, embed(params, ids), mask)
     return out.logits, grads, grad_wrt_embeddings(params, from_embeddings, target=1)
 
 
