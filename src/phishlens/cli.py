@@ -68,6 +68,14 @@ def _is_fraction(value) -> bool:
     return type(value) in (int, float) and 0.0 < value <= 1.0
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative int, as numpy's generators require."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -118,9 +126,9 @@ def _model_config(config: dict, vocab: Vocabulary) -> ModelConfig:
 def _max_len(config: dict, model_cfg: ModelConfig) -> int:
     """train.max_len from the config, else the model's max_positions."""
     max_len = config.get("train", {}).get("max_len", model_cfg.max_positions)
-    if type(max_len) is not int:
+    if type(max_len) is not int or max_len < 2:  # room for [CLS] and [SEP]
         raise UsageError(
-            f"config section 'train': max_len must be an int, got {max_len!r}"
+            f"config section 'train': max_len must be an int of at least 2, got {max_len!r}"
         )
     if max_len > model_cfg.max_positions:
         raise UsageError(
@@ -178,6 +186,8 @@ def _prepare_partitions(corpus_path: str, seed: int, fraction: float, balance: s
     split (the order the evaluation numbers assume, at the cost of duplicates
     straddling the split); "after_split" oversamples the train partition
     only, keeping the test partition free of duplicated minority records.
+    A test partition that shares records with the train partition gets a
+    warning on stderr.
     """
     loaded = corpus_mod.load_corpus(corpus_path)
     balanced = None
@@ -195,6 +205,14 @@ def _prepare_partitions(corpus_path: str, seed: int, fraction: float, balance: s
             )
     except corpus_mod.BalanceError as exc:
         raise UsageError(f"{corpus_path}: {exc}") from exc
+    overlap = parts.test_records_in_train
+    if overlap:
+        print(
+            f"warning: {overlap} of the {len(parts.test)} test emails also occur in the "
+            "train partition, so test scores overstate accuracy (train --balance copies "
+            "records before the split; --balance-after-split does not)",
+            file=sys.stderr,
+        )
     return loaded, balanced, parts
 
 
@@ -257,6 +275,7 @@ def cmd_train(args: argparse.Namespace, config: dict) -> int:
         "balanced": balanced.summary(seed=args.seed) if balanced else None,
         "train_size": len(parts.train),
         "test_size": len(parts.test),
+        "test_records_in_train": parts.test_records_in_train,
     }
     (out_dir / "corpus_summary.json").write_text(
         json.dumps(summary, indent=2), encoding="utf-8"
@@ -445,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus")
         p.add_argument("--out-dir", default="out")
         if name != "evaluate":  # evaluate takes the seed from the checkpoint
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if name != "train":
             p.add_argument("--checkpoint")
         if name == "train":

@@ -79,6 +79,14 @@ class SplitCorpus:
     test: LabeledCorpus
     train_fraction: float
 
+    @property
+    def test_records_in_train(self) -> int:
+        """Test records whose (body, label) also occurs in the train partition:
+        copies that oversampling before the split, or a corpus holding
+        duplicate records, puts on both sides."""
+        train = set(self.train.records)
+        return sum(rec in train for rec in self.test.records)
+
 
 def _is_null_body(cell: str | None) -> bool:
     # Missing cell or whitespace-only body counts as null.

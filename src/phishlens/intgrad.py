@@ -16,6 +16,7 @@ import numpy as np
 from .model import (
     ModelParameters,
     batch_arrays,
+    check_int_fields,
     embed,
     forward,
     forward_from_embeddings,
@@ -31,8 +32,7 @@ class IGConfig:
     steps: int = 64
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_int_fields(self, {"steps": 1})
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import LABEL_NAMES
+from .model import check_int_fields
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -41,8 +42,7 @@ class LimeConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
-        if self.num_features < 1 or self.num_samples < 1:
-            raise ValueError("num_features and num_samples must be >= 1")
+        check_int_fields(self, {"num_features": 1, "num_samples": 1, "seed": 0})
         if self.kernel_width <= 0:
             raise ValueError("kernel_width must be positive")
         if self.ridge_alpha < 0:

@@ -59,6 +59,17 @@ class StaleCacheError(ValueError):
     pass
 
 
+def check_int_fields(config, least: dict[str, int]) -> None:
+    """Raise ConfigError unless each field `name` of `config` is an integer
+    (not a bool) of at least `least[name]`."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ConfigError(f"{name} must be at least {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -71,16 +82,10 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        least = {
+        check_int_fields(self, {
             "vocab_size": 1, "max_positions": 1, "hidden_dim": 1, "num_heads": 1,
             "num_layers": 0, "ffn_dim": 1, "num_classes": 1,
-        }
-        for name, low in least.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be at least {low}, got {value}")
+        })
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.hidden_dim % self.num_heads != 0:
@@ -1006,20 +1011,41 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
         raise CheckpointError(f"{path}: header {RECORD_KEY!r} must be a JSON object")
 
     expected_shapes = parameter_shapes(config)
-    if set(table) != set(expected_shapes):
+    if not isinstance(table, dict) or set(table) != set(expected_shapes):
         raise CheckpointError(f"{path}: tensor table does not match config")
 
     data = raw[header_end:]
     tensors: dict[str, np.ndarray] = {}
+    first_dtype = None
     for name, shape in expected_shapes.items():
         entry = table[name]
-        if tuple(entry["shape"]) != shape:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: tensor {name} table entry must be a JSON object")
+        start, dims, dtype_str = entry.get("offset"), entry.get("shape"), entry.get("dtype")
+        if type(start) is not int or start < 0:
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {entry['shape']}, config implies {shape}"
+                f"{path}: tensor {name} offset must be a non-negative int, got {start!r}"
             )
-        dtype = np.dtype(entry["dtype"])
+        if type(dims) is not list or any(type(n) is not int for n in dims):
+            raise CheckpointError(
+                f"{path}: tensor {name} shape must be a list of ints, got {dims!r}"
+            )
+        if tuple(dims) != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {dims}, config implies {shape}"
+            )
+        if dtype_str not in ("<f4", "<f8"):
+            raise CheckpointError(
+                f"{path}: tensor {name} dtype must be <f4 or <f8, got {dtype_str!r}"
+            )
+        first_dtype = first_dtype or dtype_str
+        if dtype_str != first_dtype:
+            raise CheckpointError(
+                f"{path}: tensor {name} has dtype {dtype_str} but the tensors before it "
+                f"have {first_dtype}"
+            )
+        dtype = np.dtype(dtype_str)
         nbytes = int(np.prod(shape)) * dtype.itemsize
-        start = entry["offset"]
         if start + nbytes > len(data):
             raise CheckpointError(f"{path}: tensor {name} extends past end of file")
         tensors[name] = np.frombuffer(

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import LabeledCorpus, SplitCorpus
-from .model import ModelParameters, backward, cross_entropy_loss, forward
+from .model import ModelParameters, backward, check_int_fields, cross_entropy_loss, forward
 from .tokenizer import TokenSequence, Vocabulary, encode
 
 
@@ -37,6 +37,9 @@ class TrainConfig:
     max_len: int = 512
 
     def __post_init__(self):
+        check_int_fields(self, {
+            "train_batch_size": 1, "eval_batch_size": 1, "epochs": 0, "shuffle_seed": 0,
+        })
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -1,9 +1,11 @@
 import csv
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import synthetic_corpus
@@ -477,6 +479,22 @@ def test_balance_after_split_keeps_test_partition_untouched(tmp_path):
     )
 
 
+@pytest.mark.parametrize("flag,overlap", [("--balance", 2), ("--balance-after-split", 0)])
+def test_test_records_also_in_train_are_counted_and_warned(tmp_path, capsys, flag, overlap):
+    args = ["--corpus", CORPUS, "--vocab", VOCAB, "--config", CONFIG, "--out-dir", str(tmp_path)]
+    assert main(["train", *args, "--seed", "5", flag]) == EXIT_OK
+    summary = json.loads((tmp_path / "corpus_summary.json").read_text())
+    assert summary["test_size"] == (3 if flag == "--balance" else 2)
+    assert summary["test_records_in_train"] == overlap
+    assert main(["evaluate", *args, "--checkpoint", str(tmp_path / "model.phl")]) == EXIT_OK
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    if overlap:  # one line from train, one from evaluate
+        assert len(warnings) == 2
+        assert all("2 of the 3 test emails" in w and "--balance-after-split" in w for w in warnings)
+    else:
+        assert warnings == []
+
+
 def test_balance_flags_mutually_exclusive(tmp_path, capsys):
     code = main(
         [
@@ -511,6 +529,44 @@ def test_checkpoint_with_non_finite_weight_is_usage_error(
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(tmp_path / "model.phl") in err and "layer0.ffn_in.weight" in err
+
+
+def _edit_table_entry(src, dst, name, edit):
+    """Copy checkpoint `src` to `dst` with `edit` applied to the header's
+    tensor-table entry of `name`; the tensor bytes are copied unchanged."""
+    raw = src.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + length])
+    edit(header["tensors"][name])
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda e: e.update(offset=-8), id="negative-offset"),
+        pytest.param(lambda e: e.pop("offset"), id="missing-offset"),
+        pytest.param(lambda e: e.update(dtype="<q9"), id="unknown-dtype"),
+        # float bytes read as integers
+        pytest.param(lambda e: e.update(dtype="<i8"), id="integer-dtype"),
+        pytest.param(lambda e: e.update(shape=32), id="shape-not-a-list"),
+        pytest.param(None, id="mixed-dtype"),
+    ],
+)
+def test_malformed_checkpoint_tensor_table_is_usage_error(trained, tmp_path, capsys, edit):
+    bad = tmp_path / "model.phl"
+    if edit is None:  # one float32 tensor among float64 ones
+        params, record = load_checkpoint(str(trained / "model.phl"))
+        weight = params.tensors["classifier.weight"]
+        params.tensors["classifier.weight"] = weight.astype(np.float32)
+        save_checkpoint(params, str(bad), record)
+    else:
+        _edit_table_entry(trained / "model.phl", bad, "classifier.weight", edit)
+    code = main(_inference_args("evaluate", tmp_path, VOCAB, CONFIG, tmp_path / "out"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(bad) in err and "classifier.weight" in err
 
 
 @pytest.mark.parametrize(
@@ -620,6 +676,13 @@ def test_flag_the_command_does_not_take_is_usage_error(
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "explain", "compare"])
+def test_negative_seed_is_usage_error(trained, tmp_path, capsys, command):
+    args = _command_args(command, trained, CONFIG, tmp_path)
+    assert main(args + ["--seed", "-1"]) == EXIT_USAGE
+    assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_one_config_with_paths_trains_then_evaluates(tmp_path):
     config = json.loads(Path(CONFIG).read_text())
     config["paths"] = {
@@ -647,6 +710,14 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("train", "model", {"num_classes": 0}),
         ("train", "model", {"dropout_rate": 1.0}),
         ("train", "model", {"num_layers": 1.5}),
+        ("train", "train", {"train_batch_size": 0}),
+        ("train", "train", {"eval_batch_size": 0}),
+        ("train", "train", {"epochs": 2.5}),
+        ("explain", "lime", {"num_samples": 1.5}),
+        ("explain", "lime", {"num_features": 2.5}),
+        ("explain", "ig", {"steps": 2.5}),
+        ("explain", "lime", {"seed": "x"}),
+        ("train", "train", {"max_len": 1}),
     ],
 )
 def test_rejected_config_section_is_usage_error(
@@ -656,7 +727,12 @@ def test_rejected_config_section_is_usage_error(
     config[section].update(patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    assert main(_command_args(command, trained, str(cfg_path), tmp_path)) == EXIT_USAGE
+    args = _command_args(command, trained, str(cfg_path), tmp_path)
+    for key in patch:  # drop a flag that would override the patched value
+        flag = "--" + key.replace("_", "-")
+        if flag in args:
+            del args[args.index(flag) : args.index(flag) + 2]
+    assert main(args) == EXIT_USAGE
     assert f"config section '{section}'" in capsys.readouterr().err
 
 

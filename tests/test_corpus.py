@@ -10,6 +10,7 @@ from phishlens.corpus import (
     EmailRecord,
     EmptyCorpusError,
     LabeledCorpus,
+    SplitCorpus,
     load_corpus,
     oversample_minority,
     split,
@@ -176,6 +177,20 @@ def test_split_rejects_bad_fraction_and_empty():
     empty = LabeledCorpus.from_records([])
     with pytest.raises(EmptyCorpusError):
         split(empty, 0.7, seed=0)
+
+
+def test_test_records_in_train_matches_body_and_label():
+    train = LabeledCorpus.from_records(
+        [EmailRecord("win cash", PHISHING), EmailRecord("lunch", SAFE)]
+    )
+    test = LabeledCorpus.from_records([
+        EmailRecord("win cash", PHISHING),  # in train
+        EmailRecord("win cash", PHISHING),  # in train, counted again
+        EmailRecord("lunch", PHISHING),  # same body, other label
+        EmailRecord("agenda", SAFE),
+    ])
+    assert SplitCorpus(train, test, 0.5).test_records_in_train == 2
+    assert SplitCorpus(train, LabeledCorpus.from_records([]), 1.0).test_records_in_train == 0
 
 
 def test_summary_shape():
