@@ -17,19 +17,18 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .corpus import LABEL_NAMES
-from .intgrad import IGConfig, word_attributions
-from .lime_text import LimeConfig, build_word_index, explain as lime_explain
+from .intgrad import IGConfig
+from .lime_text import LimeConfig, LimeSettingError, build_word_index
 from .model import (
     CheckpointError,
     ModelConfig,
-    forward,
     init_parameters,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
 )
-from .report import comparison_csv, comparison_rows, render_explanation_html
-from .tokenizer import Vocabulary, VocabularyError, encode, load_vocabulary
+from .report import comparison_csv, comparison_rows, explain_email, render_explanation_html
+from .tokenizer import Vocabulary, VocabularyError, load_vocabulary
 from .training import EpochStats, NonFiniteTrainingError, TrainConfig, evaluate, train
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
@@ -76,6 +75,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _count(text: str) -> int:
+    """--steps, --num-features, --num-samples: an int of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {count}")
+    return count
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -106,10 +113,12 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _from_section(cls, config: dict, name: str, defaults=None, **overrides):
-    """cls built from config section `name`: overrides > section > defaults.
+    """cls built from config section `name`: overrides > section > defaults,
+    where an override of None (a flag left unset) yields to the section.
 
     A section the class rejects (unknown key, bad value) is a usage error.
     """
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     try:
         return cls(**{**(defaults or {}), **config.get(name, {}), **overrides})
     except (TypeError, ValueError) as exc:
@@ -383,27 +392,16 @@ def _explain_both(args: argparse.Namespace, config: dict):
     vocab, params, _ = _load_model(args)
     max_len = _max_len(config, params.config)
     text = _resolve_text(args)
-
-    def classifier(sample_text: str):
-        seq = encode(sample_text, vocab, max_len)
-        out = forward(params, [seq], train_mode=False)
-        return out.probabilities[0]
-
-    lime_flags = {
-        name: getattr(args, name)
-        for name in ("num_features", "num_samples")
-        if getattr(args, name) is not None
-    }
     # the config's lime.seed beats --seed; class names are the corpus labels
     lime_cfg = _from_section(
-        LimeConfig, config, "lime", {"seed": args.seed},
-        **lime_flags, class_names=LABEL_NAMES,
+        LimeConfig, config, "lime", {"seed": args.seed}, num_features=args.num_features,
+        num_samples=args.num_samples, class_names=LABEL_NAMES,
     )
-    ig_flags = {} if args.steps is None else {"steps": args.steps}
-    ig_cfg = _from_section(IGConfig, config, "ig", **ig_flags)
-
-    lime_exp = lime_explain(text, classifier, lime_cfg)
-    ig_record = word_attributions(text, params, vocab, ig_cfg, max_len=max_len)
+    ig_cfg = _from_section(IGConfig, config, "ig", steps=args.steps)
+    try:
+        lime_exp, ig_record = explain_email(text, params, vocab, max_len, lime_cfg, ig_cfg)
+    except LimeSettingError as exc:  # exhaustive on too many words, or a singular fit
+        raise UsageError(f"config section 'lime': {exc}") from exc
     return text, lime_exp, ig_record
 
 
@@ -477,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
             source = p.add_mutually_exclusive_group(required=True)
             source.add_argument("--text")
             source.add_argument("--index", type=int)
-            p.add_argument("--steps", type=int)
-            p.add_argument("--num-features", type=int)
-            p.add_argument("--num-samples", type=int)
+            p.add_argument("--steps", type=_count)
+            p.add_argument("--num-features", type=_count)
+            p.add_argument("--num-samples", type=_count)
     return parser
 
 

@@ -9,6 +9,7 @@ coefficients are the explanation.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -27,7 +28,11 @@ class ClassifierContractError(ValueError):
     """The black box returned something that is not a probability vector."""
 
 
-class SingularFitError(ValueError):
+class LimeSettingError(ValueError):
+    """A LimeConfig setting that cannot explain this text."""
+
+
+class SingularFitError(LimeSettingError):
     """Unregularized fit hit a singular system; retry with ridge_alpha > 0."""
 
 
@@ -43,10 +48,18 @@ class LimeConfig:
 
     def __post_init__(self):
         check_int_fields(self, {"num_features": 1, "num_samples": 1, "seed": 0})
-        if self.kernel_width <= 0:
-            raise ValueError("kernel_width must be positive")
-        if self.ridge_alpha < 0:
-            raise ValueError("ridge_alpha must be non-negative")
+        # the kernel divides by width^2, which must neither underflow to 0 nor overflow
+        width = self.kernel_width
+        if not (width > 0 and 0.0 < width * width < math.inf):
+            raise ValueError(
+                f"kernel_width must be positive with a finite, positive square, got {width!r}"
+            )
+        if not (math.isfinite(self.ridge_alpha) and self.ridge_alpha >= 0):
+            raise ValueError(
+                f"ridge_alpha must be finite and non-negative, got {self.ridge_alpha!r}"
+            )
+        if type(self.exhaustive) is not bool:
+            raise ValueError(f"exhaustive must be true or false, got {self.exhaustive!r}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,10 @@ def sample_perturbations(index: WordIndex, n: int, seed: int) -> list[Perturbati
 def enumerate_perturbations(index: WordIndex) -> list[Perturbation]:
     """Every one of the 2^F masks, all-ones first (for oracle-grade fits)."""
     if len(index) > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"refusing to enumerate 2^{len(index)} masks")
+        raise LimeSettingError(
+            f"exhaustive: refusing to enumerate 2^{len(index)} masks for "
+            f"{len(index)} distinct words (at most {EXHAUSTIVE_LIMIT})"
+        )
     return _perturbations(
         index,
         lambda f: np.array(list(itertools.product((1, 0), repeat=f)), dtype=np.int8),

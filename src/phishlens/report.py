@@ -1,4 +1,5 @@
-"""HTML rendering of dual-method explanations and LIME-vs-IG comparison data.
+"""Dual-method explanations of one email, their HTML rendering and
+LIME-vs-IG comparison data.
 
 Positive-weight words render green, negative red, with an 8-step opacity
 scale proportional to |weight| / max|weight|. Reports are self-contained
@@ -12,8 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intgrad import AttributionRecord
-from .lime_text import LimeExplanation, build_word_index
+from . import intgrad, lime_text, model, tokenizer
+from .intgrad import AttributionRecord, IGConfig
+from .lime_text import LimeConfig, LimeExplanation, build_word_index
+from .model import ModelParameters
+from .tokenizer import Vocabulary
 
 _STYLE = """
 body { font-family: sans-serif; margin: 2em; max-width: 60em; }
@@ -32,6 +36,31 @@ class ComparisonRow:
     word: str
     lime_percent: float
     ig_percent: float
+
+
+def explain_email(
+    text: str,
+    params: ModelParameters,
+    vocab: Vocabulary,
+    max_len: int,
+    lime_cfg: LimeConfig,
+    ig_cfg: IGConfig,
+) -> tuple[LimeExplanation, AttributionRecord]:
+    """LIME and integrated-gradients explanations of the model's prediction
+    for `text`, both encoding to max_len.
+
+    LIME's black box encodes each perturbed text and scores it with one
+    eval-mode forward pass. The library calls go through their modules'
+    attributes, so a wrapper set on one of them sees every call.
+    """
+
+    def classifier(sample: str):
+        seq = tokenizer.encode(sample, vocab, max_len)
+        return model.forward(params, [seq]).probabilities[0]
+
+    lime_exp = lime_text.explain(text, classifier, lime_cfg)
+    ig_record = intgrad.word_attributions(text, params, vocab, ig_cfg, max_len)
+    return lime_exp, ig_record
 
 
 def highlight_level(weight: float, max_abs: float) -> int:

@@ -683,6 +683,16 @@ def test_negative_seed_is_usage_error(trained, tmp_path, capsys, command):
     assert "must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--num-samples", "--num-features", "--steps"])
+@pytest.mark.parametrize("command", ["explain", "compare"])
+def test_count_flag_below_one_names_the_flag(trained, tmp_path, capsys, command, flag):
+    args = _command_args(command, trained, CONFIG, tmp_path)
+    assert main(args + [flag, "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be an integer of at least 1, got 0" in err
+    assert "config section" not in err
+
+
 def test_one_config_with_paths_trains_then_evaluates(tmp_path):
     config = json.loads(Path(CONFIG).read_text())
     config["paths"] = {
@@ -718,6 +728,12 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("explain", "ig", {"steps": 2.5}),
         ("explain", "lime", {"seed": "x"}),
         ("train", "train", {"max_len": 1}),
+        ("explain", "lime", {"kernel_width": 1e-300}),  # its square underflows to 0
+        ("explain", "lime", {"kernel_width": float("nan")}),
+        ("explain", "lime", {"kernel_width": 1e200}),  # its square overflows
+        ("explain", "lime", {"ridge_alpha": float("inf")}),
+        ("explain", "lime", {"ridge_alpha": float("nan")}),
+        ("explain", "lime", {"exhaustive": "no"}),
     ],
 )
 def test_rejected_config_section_is_usage_error(
@@ -734,6 +750,32 @@ def test_rejected_config_section_is_usage_error(
             del args[args.index(flag) : args.index(flag) + 2]
     assert main(args) == EXIT_USAGE
     assert f"config section '{section}'" in capsys.readouterr().err
+
+
+def _lime_config(tmp_path, **settings):
+    config = json.loads(Path(CONFIG).read_text())
+    config["lime"].update(settings)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return str(cfg_path)
+
+
+def test_exhaustive_lime_on_too_many_words_is_usage_error(trained, tmp_path, capsys):
+    args = _command_args("explain", trained, _lime_config(tmp_path, exhaustive=True), tmp_path)
+    text = " ".join(f"word{i}" for i in range(27))
+    assert main(args + ["--text", text]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config section 'lime': exhaustive" in err and "2^27" in err
+    assert not (tmp_path / "explanation.json").exists()
+
+
+def test_singular_unregularized_lime_fit_is_usage_error(trained, tmp_path, capsys):
+    # one sample: the centered design matrix is 0, so only ridge_alpha > 0 can solve it
+    args = _command_args("compare", trained, _lime_config(tmp_path, ridge_alpha=0), tmp_path)
+    assert main(args + ["--num-samples", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config section 'lime'" in err and "ridge_alpha > 0" in err
+    assert not (tmp_path / "comparison.csv").exists()
 
 
 @pytest.mark.parametrize(

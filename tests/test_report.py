@@ -1,15 +1,20 @@
+import numpy as np
 import pytest
 
-from phishlens.intgrad import AttributionRecord
-from phishlens.lime_text import LimeExplanation
+from conftest import widen_parameters
+from phishlens.intgrad import AttributionRecord, IGConfig, word_attributions
+from phishlens.lime_text import LimeConfig, LimeExplanation, explain
+from phishlens.model import forward, init_parameters
 from phishlens.report import (
     ComparisonRow,
     comparison_csv,
     comparison_rows,
+    explain_email,
     highlight_level,
     merge_subword_scores,
     render_explanation_html,
 )
+from phishlens.tokenizer import encode
 
 CLASS_NAMES = ("Safe Email", "Phishing Email")
 
@@ -32,6 +37,26 @@ def ig_rec(tokens, raws, predicted=1):
         predicted_class=predicted,
         completeness_gap=1e-5,
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_explain_email_equals_lime_with_a_single_row_classifier_plus_ig(
+    toy_config, vocab, dtype
+):
+    """The benchmark's explain unit composes these calls itself."""
+    params = widen_parameters(init_parameters(toy_config, seed=7, dtype=dtype))
+    text = "urgent: verify your account now, or click the link to claim cash"
+    lime_cfg = LimeConfig(num_features=5, num_samples=60, seed=4)
+    ig_cfg = IGConfig(steps=8)
+
+    def classifier(sample):
+        return forward(params, [encode(sample, vocab, 16)], train_mode=False).probabilities[0]
+
+    expected = (
+        explain(text, classifier, lime_cfg),
+        word_attributions(text, params, vocab, ig_cfg, 16),
+    )
+    assert explain_email(text, params, vocab, 16, lime_cfg, ig_cfg) == expected
 
 
 def test_highlight_level_buckets():
