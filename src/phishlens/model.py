@@ -43,6 +43,7 @@ from scipy.special import erf
 from .tokenizer import TokenSequence
 
 MAGIC = b"PHL1"
+CHECKPOINT_DTYPES = ("<f4", "<f8")
 RECORD_KEY = "record"  # header key of the caller's record, stored verbatim
 LN_EPS = 1e-12
 
@@ -564,7 +565,7 @@ def forward(
     ids, mask = batch_arrays(batch)
     if train_mode:
         keeps = _dropout_masks(params.config, mask.shape, rng)
-        return _run_encoder(params, embed(params, ids), mask, keeps, cache={"ids": ids})
+        return _run_encoder(params, embed(params, ids), mask, keeps, cache={})
     return _joined(_in_shards(
         mask, lambda rows: _run_encoder(params, embed(params, ids[rows]), mask[rows], None, None)
     ))
@@ -944,28 +945,42 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
 # --------------------------------------------------------------- checkpoint
 
 
+def _layout(config: ModelConfig, dtype: str) -> dict[str, dict]:
+    """The checkpoint's tensor table for `config` in `dtype` (<f4 or <f8):
+    every tensor of parameter_shapes, in order, packed back to back."""
+    table, offset = {}, 0
+    for name, shape in parameter_shapes(config).items():
+        table[name] = {"shape": list(shape), "dtype": dtype, "offset": offset}
+        offset += math.prod(shape) * np.dtype(dtype).itemsize
+    return table
+
+
 def save_checkpoint(params: ModelParameters, path: str, record: dict | None = None) -> None:
-    """Write magic, length-prefixed JSON header, then raw little-endian tensors.
+    """Write magic, length-prefixed JSON header, then the tensors of _layout.
 
     `record`, if given, is stored verbatim in the header for load_checkpoint
-    to hand back. The file is written beside `path` under a temporary name
-    and moved into place, so a failed write leaves any previous file intact.
+    to hand back. Parameters that load_checkpoint would refuse raise
+    ValueError before any file is opened; otherwise the file is written
+    beside `path` under a temporary name and moved into place, so a failed
+    write leaves any previous file intact.
     """
-    table = {}
-    offset = 0
-    blobs = []
-    for name in parameter_shapes(params.config):
-        tensor = np.ascontiguousarray(params.tensors[name])
-        dtype = tensor.dtype.newbyteorder("<")
-        blob = tensor.astype(dtype, copy=False).tobytes()
-        table[name] = {
-            "shape": list(tensor.shape),
-            "dtype": dtype.str,
-            "offset": offset,
-        }
-        blobs.append(blob)
-        offset += len(blob)
-    header = {"config": asdict(params.config), "tensors": table}
+    if record is not None and not isinstance(record, dict):
+        raise ValueError(f"record must be a dict, got {type(record).__name__}")
+    tensors = params.tensors
+    missing = [name for name in parameter_shapes(params.config) if name not in tensors]
+    if missing:
+        raise ValueError(f"tensor {missing[0]} is missing")
+    dtype = tensors["token_embedding"].dtype.newbyteorder("<").str
+    layout = _layout(params.config, dtype)
+    for name, entry in layout.items():
+        shape, got = list(tensors[name].shape), tensors[name].dtype.newbyteorder("<").str
+        if shape != entry["shape"] or got != dtype or dtype not in CHECKPOINT_DTYPES:
+            raise ValueError(
+                f"tensor {name} has shape {shape} and dtype {got}; the config implies "
+                f"{entry['shape']}, and every tensor needs token_embedding's dtype, "
+                f"<f4 or <f8"
+            )
+    header = {"config": asdict(params.config), "tensors": layout}
     if record is not None:
         header[RECORD_KEY] = record
     header_bytes = json.dumps(header).encode("utf-8")
@@ -975,8 +990,8 @@ def save_checkpoint(params: ModelParameters, path: str, record: dict | None = No
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            for name in layout:
+                fh.write(np.ascontiguousarray(tensors[name], dtype=dtype))
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -987,68 +1002,48 @@ def save_checkpoint(params: ModelParameters, path: str, record: dict | None = No
 def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
     """Read and validate a checkpoint: (parameters, record).
 
-    Round-trips save_checkpoint bit-exactly; a file saved without a record
-    loads with {}.
+    The tensor table must equal _layout of the header's config and of
+    token_embedding's dtype, and the file must end after the last tensor,
+    which are read straight into their arrays. Round-trips save_checkpoint
+    bit-exactly; a file saved without a record loads with {}.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes {raw[:4]!r}")
-    if len(raw) < 8:
-        raise CheckpointError(f"{path}: truncated before header length")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    header_end = 8 + header_len
-    if len(raw) < header_end:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[8:header_end].decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        table = header["tensors"]
-        record = header.get(RECORD_KEY, {})
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(record, dict):
-        raise CheckpointError(f"{path}: header {RECORD_KEY!r} must be a JSON object")
-
-    expected_shapes = parameter_shapes(config)
-    if not isinstance(table, dict) or set(table) != set(expected_shapes):
-        raise CheckpointError(f"{path}: tensor table does not match config")
-
-    data = raw[header_end:]
-    tensors: dict[str, np.ndarray] = {}
-    first_dtype = None
-    for name, shape in expected_shapes.items():
-        entry = table[name]
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"{path}: tensor {name} table entry must be a JSON object")
-        start, dims, dtype_str = entry.get("offset"), entry.get("shape"), entry.get("dtype")
-        if type(start) is not int or start < 0:
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes {head[:4]!r}")
+        if len(head) < 8:
+            raise CheckpointError(f"{path}: truncated before header length")
+        (header_len,) = struct.unpack("<I", head[4:])
+        # a corrupt length must not make read() allocate up to 4 GiB
+        raw = fh.read(min(header_len, os.fstat(fh.fileno()).st_size))
+        if len(raw) < header_len:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            table = header["tensors"]
+            dtype = table["token_embedding"]["dtype"]
+            record = header.get(RECORD_KEY, {})
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(record, dict):
+            raise CheckpointError(f"{path}: header {RECORD_KEY!r} must be a JSON object")
+        if dtype not in CHECKPOINT_DTYPES:
             raise CheckpointError(
-                f"{path}: tensor {name} offset must be a non-negative int, got {start!r}"
+                f"{path}: tensor token_embedding dtype must be <f4 or <f8, got {dtype!r}"
             )
-        if type(dims) is not list or any(type(n) is not int for n in dims):
+        layout = _layout(config, dtype)
+        if table != layout:
+            name = next(n for n in [*layout, *table] if table.get(n) != layout.get(n))
             raise CheckpointError(
-                f"{path}: tensor {name} shape must be a list of ints, got {dims!r}"
+                f"{path}: tensor {name} has table entry {table.get(name)}, "
+                f"but the config and dtype {dtype} imply {layout.get(name)}"
             )
-        if tuple(dims) != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {dims}, config implies {shape}"
-            )
-        if dtype_str not in ("<f4", "<f8"):
-            raise CheckpointError(
-                f"{path}: tensor {name} dtype must be <f4 or <f8, got {dtype_str!r}"
-            )
-        first_dtype = first_dtype or dtype_str
-        if dtype_str != first_dtype:
-            raise CheckpointError(
-                f"{path}: tensor {name} has dtype {dtype_str} but the tensors before it "
-                f"have {first_dtype}"
-            )
-        dtype = np.dtype(dtype_str)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        if start + nbytes > len(data):
-            raise CheckpointError(f"{path}: tensor {name} extends past end of file")
-        tensors[name] = np.frombuffer(
-            data, dtype=dtype, count=int(np.prod(shape)), offset=start
-        ).reshape(shape).copy()
+        tensors: dict[str, np.ndarray] = {}
+        for name, entry in layout.items():
+            tensors[name] = np.empty(entry["shape"], dtype=dtype)
+            if fh.readinto(tensors[name]) < tensors[name].nbytes:
+                raise CheckpointError(f"{path}: tensor {name} extends past end of file")
+        if fh.read(1):
+            raise CheckpointError(f"{path}: file continues after the last tensor")
     return ModelParameters(config=config, tensors=tensors), record

@@ -1,4 +1,6 @@
+import json
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,17 @@ def widen_parameters(params, seed=99):
         else:
             t += rng.normal(0.0, 0.25, t.shape)
     return out
+
+
+def edit_checkpoint_header(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with `edit` applied to its parsed JSON
+    header; the tensor bytes are copied unchanged."""
+    raw = Path(src).read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    Path(dst).write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
 
 
 def make_seq(ids, n_real, max_len):

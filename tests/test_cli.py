@@ -1,14 +1,12 @@
 import csv
 import json
-import struct
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import synthetic_corpus
+from conftest import edit_checkpoint_header, synthetic_corpus
 from phishlens.cli import EXIT_OK, EXIT_USAGE, main
 from phishlens.corpus import LABEL_NAMES, EmailRecord
 from phishlens.model import load_checkpoint, save_checkpoint
@@ -531,17 +529,6 @@ def test_checkpoint_with_non_finite_weight_is_usage_error(
     assert str(tmp_path / "model.phl") in err and "layer0.ffn_in.weight" in err
 
 
-def _edit_table_entry(src, dst, name, edit):
-    """Copy checkpoint `src` to `dst` with `edit` applied to the header's
-    tensor-table entry of `name`; the tensor bytes are copied unchanged."""
-    raw = src.read_bytes()
-    (length,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + length])
-    edit(header["tensors"][name])
-    blob = json.dumps(header).encode("utf-8")
-    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
-
-
 @pytest.mark.parametrize(
     "edit",
     [
@@ -551,22 +538,44 @@ def _edit_table_entry(src, dst, name, edit):
         # float bytes read as integers
         pytest.param(lambda e: e.update(dtype="<i8"), id="integer-dtype"),
         pytest.param(lambda e: e.update(shape=32), id="shape-not-a-list"),
-        pytest.param(None, id="mixed-dtype"),
+        # one float32 tensor among float64 ones
+        pytest.param(lambda e: e.update(dtype="<f4"), id="mixed-dtype"),
     ],
 )
 def test_malformed_checkpoint_tensor_table_is_usage_error(trained, tmp_path, capsys, edit):
     bad = tmp_path / "model.phl"
-    if edit is None:  # one float32 tensor among float64 ones
-        params, record = load_checkpoint(str(trained / "model.phl"))
-        weight = params.tensors["classifier.weight"]
-        params.tensors["classifier.weight"] = weight.astype(np.float32)
-        save_checkpoint(params, str(bad), record)
-    else:
-        _edit_table_entry(trained / "model.phl", bad, "classifier.weight", edit)
+    edit_checkpoint_header(
+        trained / "model.phl", bad, lambda h: edit(h["tensors"]["classifier.weight"])
+    )
     code = main(_inference_args("evaluate", tmp_path, VOCAB, CONFIG, tmp_path / "out"))
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(bad) in err and "classifier.weight" in err
+
+
+def _extra_table_entry(header):
+    header["tensors"]["classifier.extra"] = dict(header["tensors"]["classifier.bias"])
+
+
+@pytest.mark.parametrize(
+    "damage,named",
+    [
+        (lambda p: p.write_bytes(p.read_bytes()[:-1]), "classifier.bias"),
+        (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "after the last tensor"),
+        (lambda p: edit_checkpoint_header(p, p, _extra_table_entry), "classifier.extra"),
+        (lambda p: edit_checkpoint_header(p, p, lambda h: h["tensors"].pop("prehead.bias")),
+         "prehead.bias"),
+    ],
+    ids=["truncated", "trailing-byte", "extra-entry", "missing-entry"],
+)
+def test_checkpoint_of_wrong_extent_is_usage_error(trained, tmp_path, capsys, damage, named):
+    bad = tmp_path / "model.phl"
+    bad.write_bytes((trained / "model.phl").read_bytes())
+    damage(bad)
+    code = main(_inference_args("explain", tmp_path, VOCAB, CONFIG, tmp_path / "out"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
 
 
 @pytest.mark.parametrize(

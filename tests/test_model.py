@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import make_seq, synthetic_corpus, toy_batch, widen_parameters
+from conftest import (
+    DATA,
+    edit_checkpoint_header,
+    make_seq,
+    synthetic_corpus,
+    toy_batch,
+    widen_parameters,
+)
 from phishlens import model as model_mod
 from phishlens.corpus import split
 from phishlens.model import (
@@ -440,11 +447,115 @@ def test_checkpoint_record_round_trips_and_defaults_to_empty(toy_params, tmp_pat
     assert load_checkpoint(path)[1] == {}
 
 
+def _refused_save(previous, params, tmp_path, match, record=None):
+    """Over a checkpoint of `previous`, save_checkpoint(params) raises
+    ValueError matching `match`, writes no temporary file and leaves the
+    previous checkpoint intact."""
+    path = tmp_path / "model.phl"
+    save_checkpoint(previous, str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=match):
+        save_checkpoint(params, str(path), record)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.phl"]
+
+
 def test_checkpoint_record_not_an_object_rejected(toy_params, tmp_path):
-    path = str(tmp_path / "model.phl")
-    save_checkpoint(toy_params, path, [1, 2])
+    _refused_save(toy_params, toy_params, tmp_path, "record must be a dict", record=[1, 2])
+    path = tmp_path / "model.phl"
+    edit_checkpoint_header(path, path, lambda h: h.update(record=[1, 2]))
     with pytest.raises(CheckpointError, match="must be a JSON object"):
-        load_checkpoint(path)
+        load_checkpoint(str(path))
+
+
+def _without(tensors, name):
+    return {k: v for k, v in tensors.items() if k != name}
+
+
+@pytest.mark.parametrize(
+    "change,named",
+    [
+        (lambda t: _without(t, "layer0.ffn_in.weight"), "layer0.ffn_in.weight"),
+        (lambda t: {**t, "classifier.weight": t["classifier.weight"][:-1]}, "classifier.weight"),
+        (lambda t: {**t, "prehead.bias": t["prehead.bias"].astype(np.float32)}, "prehead.bias"),
+        (lambda t: {k: v.astype(np.float16) for k, v in t.items()}, "token_embedding"),
+    ],
+    ids=["missing", "wrong-shape", "one-float32", "float16"],
+)
+def test_save_refuses_what_load_would_refuse(toy_params, tmp_path, change, named):
+    bad = model_mod.ModelParameters(toy_params.config, change(toy_params.tensors))
+    _refused_save(toy_params, bad, tmp_path, f"tensor {named} ")
+
+
+def test_checkpoint_written_by_the_first_format_loads_and_saves_unchanged(tmp_path):
+    # tests/data/tiny_format.phl: a float32 checkpoint with a record, written
+    # before save and load derived the tensor table from the config; it pins
+    # the PHL1 bytes
+    golden = DATA / "tiny_format.phl"
+    params, record = load_checkpoint(str(golden))
+    assert record == {"vocab_sha256": "ab", "split": {"seed": 5}}
+    assert all(t.dtype == np.float32 for t in params.tensors.values())
+    save_checkpoint(params, str(tmp_path / "again.phl"), record)
+    assert (tmp_path / "again.phl").read_bytes() == golden.read_bytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _spread_params():
+    """float64 parameters whose largest tensor is under half of their bytes."""
+    config = ModelConfig(
+        vocab_size=500, max_positions=64, hidden_dim=64, num_heads=2, num_layers=2, ffn_dim=256
+    )
+    params = init_parameters(config, seed=1)
+    sizes = [t.nbytes for t in params.tensors.values()]
+    assert max(sizes) < sum(sizes) / 2
+    return params, sum(sizes)
+
+
+def test_save_checkpoint_holds_no_copy_of_the_parameters(tmp_path):
+    params, nbytes = _spread_params()
+    path = str(tmp_path / "model.phl")
+    # a tensor-at-a-time copy would still fit; a copy of all of them would not
+    assert _traced_peak(lambda: save_checkpoint(params, path)) < nbytes / 2
+
+
+def test_load_checkpoint_holds_no_second_copy_of_the_parameters(tmp_path):
+    params, nbytes = _spread_params()
+    path = str(tmp_path / "model.phl")
+    save_checkpoint(params, path)
+    # the loaded arrays themselves, plus the header
+    assert _traced_peak(lambda: load_checkpoint(path)) <= 1.1 * nbytes
+
+
+def test_checkpoint_trailing_byte_rejected(toy_params, tmp_path):
+    path = tmp_path / "model.phl"
+    save_checkpoint(toy_params, str(path))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="after the last tensor"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit,named",
+    [
+        (lambda t: t.update(extra=dict(t["classifier.bias"])), "extra"),
+        (lambda t: t.pop("layer0.attn_v.bias"), "layer0.attn_v.bias"),
+    ],
+    ids=["extra-entry", "missing-entry"],
+)
+def test_checkpoint_table_entry_extra_or_missing_rejected(toy_params, tmp_path, edit, named):
+    path = tmp_path / "model.phl"
+    save_checkpoint(toy_params, str(path))
+    edit_checkpoint_header(path, path, lambda h: edit(h["tensors"]))
+    with pytest.raises(CheckpointError, match=f"tensor {named} "):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_failed_write_keeps_previous_file(toy_params, tmp_path, monkeypatch):
@@ -484,6 +595,15 @@ def test_checkpoint_truncated_file_rejected(toy_params, tmp_path):
     open(path, "wb").write(blob[:-16])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_longer_than_the_file_rejected(toy_params, tmp_path):
+    path = tmp_path / "model.phl"
+    save_checkpoint(toy_params, str(path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + b"\xff\xff\xff\xff" + raw[8:])
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_bad_magic_rejected(toy_params, tmp_path):
@@ -531,7 +651,7 @@ def test_float32_model_computes_in_float32(toy_config):
     params = widen_parameters(init_parameters(cfg, seed=4, dtype=np.float32), seed=5)
     out = forward(params, toy_batch(), train_mode=True, rng=np.random.default_rng(0))
     dtypes = {a.dtype for a in _arrays_in(out.cache)}
-    assert dtypes == {np.dtype(np.float32), np.dtype(np.int64)}
+    assert dtypes == {np.dtype(np.float32)}
     _, grads = backward(params, toy_batch(), LABELS, rng=np.random.default_rng(0))
     assert all(g.dtype == np.float32 for g in grads.values())
 
