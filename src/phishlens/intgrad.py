@@ -15,6 +15,7 @@ import numpy as np
 
 from .model import (
     ModelParameters,
+    _cache_bytes_per_row,
     batch_arrays,
     check_int_fields,
     embed,
@@ -24,7 +25,11 @@ from .model import (
 )
 from .tokenizer import TokenSequence, Vocabulary, encode
 
-_CHUNK = 64  # path steps evaluated per forward/backward batch
+# Forward-cache bytes one IG pass may keep; the path steps per pass are this
+# over _cache_bytes_per_row. On the small float64 model (d=128, 2 layers)
+# that is 96 rows at 8 real tokens and 12 at 64; a row of the paper's model
+# at 512 tokens keeps 185 MiB in float32 and runs alone.
+_PASS_CACHE_BYTES = 16 << 20
 
 
 @dataclass
@@ -73,20 +78,27 @@ def path_integrate(
     input_embed: np.ndarray,
     baseline_embed: np.ndarray,
     steps: int,
+    rows_per_pass: int | None = None,
 ) -> np.ndarray:
     """Midpoint-rule integral of grad_fn along the straight embedding path.
 
     grad_fn maps a stack of embeddings (S, T, D) to gradients of a scalar
-    score, same shape. Returns the (T, D) attribution tensor.
+    score, same shape. It is called on at most `rows_per_pass` path points
+    at a time (None: all `steps` at once), each stack built, in the
+    embeddings' dtype, only when it runs. Returns the (T, D) attribution
+    tensor.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    rows = steps if rows_per_pass is None else rows_per_pass
+    if rows < 1:
+        raise ValueError("rows_per_pass must be >= 1")
     diff = input_embed - baseline_embed
     accumulated = np.zeros_like(input_embed)
-    alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    for start in range(0, steps, _CHUNK):
-        chunk = alphas[start : start + _CHUNK]
-        points = baseline_embed[None] + chunk[:, None, None] * diff[None]
+    for start in range(0, steps, rows):
+        stop = min(start + rows, steps)
+        alphas = ((np.arange(start, stop) + 0.5) / steps).astype(diff.dtype, copy=False)
+        points = baseline_embed[None] + alphas[:, None, None] * diff[None]
         accumulated += grad_fn(points).sum(axis=0)
     return diff * (accumulated / steps)
 
@@ -112,6 +124,8 @@ def integrated_gradients(
 
     The path runs over the collated (trimmed) width; positions past the
     longest real token get exact zeros, since input and baseline agree there.
+    Each forward/backward pass takes as many path steps as keep a cache of
+    at most _PASS_CACHE_BYTES, and at least one.
     """
     if len(input_seq.input_ids) != len(baseline_seq.input_ids):
         raise ValueError("input and baseline sequences differ in length")
@@ -120,8 +134,10 @@ def integrated_gradients(
     ids, mask = batch_arrays([input_seq, baseline_seq])
     e = embed(params, ids)
     grad_fn = _logit_grad_fn(params, mask[0], target)
+    row_bytes = _cache_bytes_per_row(params.config, e.shape[1], e.dtype)
+    rows = max(1, _PASS_CACHE_BYTES // row_bytes)
     attribution = np.zeros((len(input_seq.input_ids), e.shape[2]), dtype=e.dtype)
-    attribution[: e.shape[1]] = path_integrate(grad_fn, e[0], e[1], steps)
+    attribution[: e.shape[1]] = path_integrate(grad_fn, e[0], e[1], steps, rows)
     return attribution
 
 

@@ -62,13 +62,16 @@ class StaleCacheError(ValueError):
 
 def check_int_fields(config, least: dict[str, int]) -> None:
     """Raise ConfigError unless each field `name` of `config` is an integer
-    (not a bool) of at least `least[name]`."""
+    (not a bool) of at least `least[name]`. A numpy integer is stored back as
+    a Python int, so the config serializes to JSON (checkpoint headers)."""
     for name, low in least.items():
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ConfigError(f"{name} must be at least {low}, got {value}")
+        if isinstance(value, np.integer):
+            object.__setattr__(config, name, int(value))  # also on frozen dataclasses
 
 
 @dataclass(frozen=True)
@@ -591,6 +594,24 @@ def forward_from_embeddings(
     output always keeps the cache that grad_wrt_embeddings() reads.
     """
     return _run_encoder(params, embeddings, mask, None, cache={})
+
+
+def _cache_bytes_per_row(config: ModelConfig, length: int, dtype) -> int:
+    """Bytes of the arrays that the cache of forward_from_embeddings keeps
+    per row of a batch whose rows all have `length` real positions and no
+    padding, in `dtype`: the layers' activations, the head's, the mask and,
+    as the first layer's input, the embeddings. (The _Packing's few int64
+    per row are not counted.)"""
+    d, f, h, n = config.hidden_dim, config.ffn_dim, config.num_heads, length
+    elements = n + 3 * d  # mask; head: [CLS] vector, pre-ReLU, post-ReLU
+    if config.num_layers:
+        # all n rows: input, Q, K, V, merged heads, h1, two normalized
+        # inputs, FFN input and GELU term, two norm sigmas, probabilities
+        per_layer = n * (8 * d + 2 * f + 2 + h * n)
+        # the last layer: input, K, V over n rows; the rest at [CLS] alone
+        last = 3 * d * n + 5 * d + 2 * f + 2 + h * n
+        elements += (config.num_layers - 1) * per_layer + last
+    return elements * np.dtype(dtype).itemsize
 
 
 def _run_encoder(params, embeddings, mask, keeps, cache: dict | None) -> ForwardOutput:

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import synthetic_corpus, widen_parameters
+import phishlens.intgrad as ig
+from conftest import DATA, make_seq, synthetic_corpus, widen_parameters
+from phishlens.corpus import load_corpus
 from phishlens.intgrad import (
     IGConfig,
     integrated_gradients,
@@ -9,7 +13,7 @@ from phishlens.intgrad import (
     path_integrate,
     word_attributions,
 )
-from phishlens.model import ModelConfig, init_parameters
+from phishlens.model import ModelConfig, _cache_bytes_per_row, forward, init_parameters
 from phishlens.tokenizer import encode
 
 
@@ -173,7 +177,7 @@ def test_ig_config_validation():
         IGConfig(steps=0)
 
 
-def test_path_integrate_chunk_order_insensitive(monkeypatch):
+def test_path_integrate_chunk_order_insensitive():
     rng = np.random.default_rng(6)
     w = rng.normal(size=(4, 3))
 
@@ -182,11 +186,85 @@ def test_path_integrate_chunk_order_insensitive(monkeypatch):
         return np.broadcast_to(w, points.shape) * (1.0 + points**2)
 
     e1, e0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    import phishlens.intgrad as ig
-
-    results = []
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(ig, "_CHUNK", chunk)
-        results.append(ig.path_integrate(grad_fn, e1, e0, steps=64))
+    results = [
+        path_integrate(grad_fn, e1, e0, steps=64, rows_per_pass=chunk) for chunk in (1, 7, 64)
+    ]
     np.testing.assert_allclose(results[0], results[1], atol=1e-9)
     np.testing.assert_allclose(results[0], results[2], atol=1e-9)
+
+
+@pytest.fixture
+def pass_rows(monkeypatch):
+    """pass_rows(config, length, rows) sets the IG cache budget to `rows`
+    float64 path steps of `length` real tokens; the returned list records
+    the rows of every forward_from_embeddings call IG makes."""
+    seen = []
+    forward_from_embeddings = ig.forward_from_embeddings
+
+    def spy(params, embeddings, mask):
+        seen.append(embeddings.shape[0])
+        return forward_from_embeddings(params, embeddings, mask)
+
+    monkeypatch.setattr(ig, "forward_from_embeddings", spy)
+
+    def set_(config, length, rows):
+        budget = rows * _cache_bytes_per_row(config, length, np.float64)
+        monkeypatch.setattr(ig, "_PASS_CACHE_BYTES", budget)
+        seen.clear()
+        return seen
+
+    return set_
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 16])
+@pytest.mark.parametrize("steps", [1, 7, 64, 100])
+def test_budgeted_ig_matches_one_pass(ig_params, vocab, pass_rows, length, steps):
+    rng = np.random.default_rng(length)
+    seq = make_seq([vocab.cls_id, *rng.integers(5, vocab.size, length - 1)], length, 16)
+    base = make_seq(rng.integers(5, vocab.size, length), length, 16)
+    logits = forward(ig_params, [seq, base]).logits[:, 1]
+
+    def gap(att):
+        return abs(att.sum() - (logits[0] - logits[1]))
+
+    seen = pass_rows(ig_params.config, length, steps)
+    whole = integrated_gradients(ig_params, seq, base, target=1, steps=steps)
+    assert seen == [steps]
+    for rows in (1, 7, 64):  # steps fewer than, equal to and not a multiple of rows
+        seen = pass_rows(ig_params.config, length, rows)
+        att = integrated_gradients(ig_params, seq, base, target=1, steps=steps)
+        assert seen == [min(rows, steps - s) for s in range(0, steps, rows)]
+        np.testing.assert_allclose(att.sum(axis=-1), whole.sum(axis=-1), rtol=0, atol=1e-12)
+        assert gap(att) == pytest.approx(gap(whole), rel=0, abs=1e-12)
+
+
+def test_budgeted_word_attributions_match_one_pass_on_fixtures(ig_params, vocab, pass_rows):
+    cfg = IGConfig(steps=64)
+    for record in load_corpus(str(DATA / "fixture_emails.csv")).records:
+        length = encode(record.body, vocab, 16).real_length
+        pass_rows(ig_params.config, length, 64)
+        whole = word_attributions(record.body, ig_params, vocab, cfg, max_len=16)
+        seen = pass_rows(ig_params.config, length, 7)
+        split = word_attributions(record.body, ig_params, vocab, cfg, max_len=16)
+        assert seen == [7] * 9 + [1]
+        np.testing.assert_allclose(split.raw_scores, whole.raw_scores, rtol=0, atol=1e-12)
+        assert split.completeness_gap == pytest.approx(whole.completeness_gap, rel=0, abs=1e-12)
+
+
+def test_integrated_gradients_peak_memory_is_bounded(vocab):
+    # one 64-step pass of this model at 64 tokens keeps a 47 MiB float64
+    # cache and peaks at 95 MiB; passes that keep at most 16 MiB peak near 31
+    config = ModelConfig(
+        vocab_size=vocab.size, max_positions=64, hidden_dim=64, num_heads=4,
+        num_layers=2, ffn_dim=256, dropout_rate=0.0,
+    )
+    params = init_parameters(config, seed=3)
+    ids = np.random.default_rng(5).integers(5, vocab.size, 62)
+    seq = make_seq([vocab.cls_id, *ids, vocab.sep_id], 64, 64)
+    tracemalloc.start()
+    try:
+        integrated_gradients(params, seq, make_baseline(seq, vocab), target=1, steps=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -120,6 +121,51 @@ def test_invalid_config_rejected():
 def test_out_of_range_config_values_rejected(change, message):
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(ModelConfig.toy(), **change)
+
+
+def test_numpy_integer_config_saves_and_reloads_equal(tmp_path):
+    config = ModelConfig(
+        vocab_size=np.int64(6), max_positions=np.int32(8), hidden_dim=4,
+        num_heads=np.int64(2), num_layers=np.int64(1), ffn_dim=np.uint8(8),
+    )
+    fields = dataclasses.asdict(config)
+    assert all(type(v) is int for k, v in fields.items() if k != "dropout_rate")
+    path = str(tmp_path / "model.phl")
+    save_checkpoint(init_parameters(config, seed=0), path)
+    assert load_checkpoint(path)[0].config == config
+    train_cfg = TrainConfig(train_batch_size=np.int64(4), epochs=np.int16(2))
+    assert TrainConfig(**json.loads(json.dumps(dataclasses.asdict(train_cfg)))) == train_cfg
+
+
+def _cache_buffers(obj, out: dict) -> dict:
+    """The distinct base arrays reachable through the dicts and lists of a cache."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        out[id(obj)] = obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _cache_buffers(v, out)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _cache_buffers(v, out)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+@pytest.mark.parametrize("length", [1, 7, 64])
+def test_cache_bytes_per_row_counts_what_forward_from_embeddings_keeps(dtype, num_layers, length):
+    config = ModelConfig(
+        vocab_size=50, max_positions=64, hidden_dim=8, num_heads=2,
+        num_layers=num_layers, ffn_dim=12, dropout_rate=0.0,
+    )
+    params = init_parameters(config, seed=0, dtype=dtype)
+    rows = 3
+    embeddings = np.random.default_rng(1).normal(size=(rows, length, 8)).astype(dtype)
+    out = forward_from_embeddings(params, embeddings, np.ones((rows, length), dtype))
+    kept = sum(b.nbytes for b in _cache_buffers(out.cache, {}).values())
+    assert kept == rows * model_mod._cache_bytes_per_row(config, length, dtype)
 
 
 def test_forward_shapes_and_probability_rows(toy_params):
