@@ -9,7 +9,11 @@ own real positions, so it needs no key mask. The head reads only the [CLS]
 row of each sequence, so the last layer computes only those B rows: keys
 and values still cover all N rows, but queries, attention ((G, h, 1, L)
 probabilities), the output projection, the layer norms and the feed-forward
-run on the B [CLS] rows, and the result is the head's input.
+run on the B [CLS] rows, and the result is the head's input. Passes from
+token ids embed the real positions alone. A pass that keeps no cache drops
+each array once its next step has read it, and runs the feed-forward in
+row blocks and attention in chunks of whole sequences of at most
+_BLOCK_BYTES; a pass that keeps its cache runs the same loops as one block.
 Eval-mode forward and backward run a batch as contiguous row shards, one
 per CPU the process may use (`taskset -c 0` gives the one-shard pass); see
 _in_shards. During a sharded pass BLAS runs single-threaded, so BLAS calls
@@ -30,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import struct
 import threading
@@ -90,6 +95,11 @@ class ModelConfig:
             "vocab_size": 1, "max_positions": 1, "hidden_dim": 1, "num_heads": 1,
             "num_layers": 0, "ffn_dim": 1, "num_classes": 1,
         })
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ConfigError(f"dropout_rate must be a real number, got {rate!r}")
+        # a numpy float is stored as a Python float, which serializes to JSON
+        object.__setattr__(self, "dropout_rate", float(rate))
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.hidden_dim % self.num_heads != 0:
@@ -202,11 +212,16 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPa
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, in a new array."""
+    return _softmax_in_place(z.copy())
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in z's own buffer."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 # Eigen's float32 erf: erf(u) = u P(u^2) / Q(u^2) on [-4, 4], beyond which
@@ -292,7 +307,10 @@ def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x, scale, shift):
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    """(y, (xhat, sigma)) over the last axis; xhat is computed in x's own
+    buffer, so x is overwritten."""
+    xhat = x
+    xhat -= x.mean(axis=-1, keepdims=True)
     var = np.square(xhat).mean(axis=-1, keepdims=True)
     sigma = np.sqrt(var + LN_EPS)
     xhat /= sigma
@@ -378,14 +396,38 @@ def _dropout_masks(cfg: ModelConfig, shape: tuple[int, int], rng) -> list[np.nda
     ]
 
 
-def _dropout(x, rate, drawn, packing: _Packing, queries=None):
-    """Dropout on packed rows, or on the packed rows `queries` only, with the
-    (B, T, n) keep mask `drawn`."""
+def _dropout_keep(dtype, rate, drawn, packing: _Packing, queries=None) -> np.ndarray:
+    """The factor, 0 or 1 / (1 - rate), by which dropout scales the packed
+    rows, or the packed rows `queries` only, under the (B, T, n) keep mask
+    `drawn`."""
     kept = packing.gather(drawn)
     if queries is not None:
         kept = kept[queries]
-    keep = kept.astype(x.dtype) / (1.0 - rate)
-    return x * keep, keep
+    return kept.astype(dtype) / (1.0 - rate)
+
+
+# Bytes of the largest block that a pass keeping no cache computes at once:
+# a row block of the feed-forward's (rows, ffn_dim) arrays, or a chunk of
+# whole sequences of one length group's (G, h, m, n) attention scores (see
+# _blocks). The desk model (d=256, f=1024, float32) takes 1024 feed-forward
+# rows and one 512-token sequence per block; every LIME and IG endpoint pass
+# of the explain benchmark fits in one block. On the evaluate benchmark
+# (2 vCPUs, 10 s runs) 1 and 2 MiB gave the same peak RSS as 4 MiB, and 8 MiB 14 MB
+# more.
+_BLOCK_BYTES = 4 << 20
+
+
+def _blocks(count: int, item_bytes: int, whole: bool) -> list[slice]:
+    """`count` items (rows or sequences) of `item_bytes` each, cut into
+    contiguous blocks of near-equal size, each of at most _BLOCK_BYTES and
+    at least one item; one block of all of them when `whole`, as for a pass
+    that keeps its cache, which keeps every block anyway. Near-equal blocks
+    leave no sliver of a few rows, whose products BLAS may round
+    differently."""
+    per_block = count if whole else max(1, _BLOCK_BYTES // item_bytes)
+    blocks = -(-count // per_block)
+    size = -(-count // blocks)
+    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
 
 
 # ------------------------------------------------------------------ shards
@@ -531,7 +573,17 @@ class ForwardOutput:
 def batch_arrays(batch: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Ids and mask of a batch, without the trailing columns that are padding
     in every row: the encoder runs at the longest real length, and since
-    padded positions never enter attention the logits cannot depend on them."""
+    padded positions never enter attention the logits cannot depend on them.
+    An empty batch, or sequences whose ids and masks differ in width, raise
+    ValueError."""
+    if not batch:
+        raise ValueError("a batch needs at least one sequence")
+    widths = {len(seq.input_ids) for seq in batch} | {len(seq.attention_mask) for seq in batch}
+    if len(widths) > 1:
+        raise ValueError(
+            f"every sequence of a batch needs the same width, got ids and masks of "
+            f"widths {sorted(widths)}; encode them with one max_len"
+        )
     ids = np.array([seq.input_ids for seq in batch], dtype=np.int64)
     mask = np.array([seq.attention_mask for seq in batch], dtype=np.float64)
     real = mask != 0.0
@@ -561,16 +613,17 @@ def forward(
     batch's longest real length (see batch_arrays).
 
     Only a train-mode pass keeps the backward cache; in eval mode `.cache`
-    is None and each layer's activations are freed as soon as the next
-    layer has read them. An eval-mode pass runs in row shards (_in_shards);
-    a train-mode pass runs whole.
+    is None, each array is dropped once its next step has read it, and
+    attention and the feed-forward run in blocks of at most _BLOCK_BYTES.
+    An eval-mode pass runs in row shards (_in_shards); a train-mode pass
+    runs whole.
     """
     ids, mask = batch_arrays(batch)
     if train_mode:
         keeps = _dropout_masks(params.config, mask.shape, rng)
-        return _run_encoder(params, embed(params, ids), mask, keeps, cache={})
+        return _run_encoder(params, ids, mask, keeps, cache={})
     return _joined(_in_shards(
-        mask, lambda rows: _run_encoder(params, embed(params, ids[rows]), mask[rows], None, None)
+        mask, lambda rows: _run_encoder(params, ids[rows], mask[rows], None, None)
     ))
 
 
@@ -614,21 +667,30 @@ def _cache_bytes_per_row(config: ModelConfig, length: int, dtype) -> int:
     return elements * np.dtype(dtype).itemsize
 
 
-def _run_encoder(params, embeddings, mask, keeps, cache: dict | None) -> ForwardOutput:
-    """Encoder stack and head, with dropout iff `keeps` holds the masks of
-    _dropout_masks; fills `cache` for _backward_core unless it is None."""
+def _run_encoder(params, inputs, mask, keeps, cache: dict | None) -> ForwardOutput:
+    """Encoder stack and head over `inputs`: (B, T) token ids, of which only
+    the real positions are embedded, or (B, T, D) embeddings. Dropout iff
+    `keeps` holds the masks of _dropout_masks; fills `cache` for
+    _backward_core unless it is None."""
     cfg = params.config
     p = params.tensors
-    t = embeddings.shape[1]
+    t = inputs.shape[1]
     if t > cfg.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {cfg.max_positions}")
-    mask = np.asarray(mask, dtype=embeddings.dtype)
+    from_ids = inputs.ndim == 2
+    mask = np.asarray(mask, dtype=p["token_embedding"].dtype if from_ids else inputs.dtype)
     packing = _Packing(mask)
     layers = None if cache is None else []
 
-    x = packing.gather(embeddings)
+    if from_ids:  # the same sums as embed(), at the real positions alone
+        positions = np.broadcast_to(np.arange(t), inputs.shape)
+        x = p["token_embedding"][packing.gather(inputs)]
+        x += p["position_embedding"][packing.gather(positions)]
+    else:
+        x = packing.gather(inputs)
     if keeps is not None:
-        x, embed_keep = _dropout(x, cfg.dropout_rate, keeps[0], packing)
+        embed_keep = _dropout_keep(x.dtype, cfg.dropout_rate, keeps[0], packing)
+        x = x * embed_keep
     queries = None
     for i in range(cfg.num_layers):
         queries = _query_rows(packing, i, cfg.num_layers)
@@ -636,9 +698,9 @@ def _run_encoder(params, embeddings, mask, keeps, cache: dict | None) -> Forward
         x = _encoder_layer(p, f"layer{i}.", x, packing, queries, cfg, drawn, layers)
 
     cls_vec = x[packing.cls_rows] if queries is None else x
-    pre_lin = cls_vec @ p["prehead.weight"] + p["prehead.bias"]
+    pre_lin = _linear(cls_vec, p, "prehead")
     pre_act = np.maximum(pre_lin, 0.0)
-    logits = pre_act @ p["classifier.weight"] + p["classifier.bias"]
+    logits = _linear(pre_act, p, "classifier")
     probs_out = softmax(logits)
 
     if cache is not None:
@@ -658,34 +720,55 @@ def _query_rows(packing: _Packing, layer: int, num_layers: int):
     return packing.cls_rows if layer == num_layers - 1 else None
 
 
+def _linear(x, p, name: str) -> np.ndarray:
+    """x @ weight + bias of the parameters `name`, the bias added in place."""
+    y = x @ p[name + ".weight"]
+    y += p[name + ".bias"]
+    return y
+
+
 def _heads(m, rows, n: int, h: int) -> np.ndarray:
-    """The (·, D) rows `rows` (None: all) of G sequences -> (G, h, n, D/h)."""
-    if rows is not None:
-        m = m[rows]
+    """The (·, D) rows `rows` of G sequences -> (G, h, n, D/h)."""
+    m = m[rows]
     return m.reshape(-1, n, h, m.shape[1] // h).transpose(0, 2, 1, 3)
 
 
 def _unheads(m, rows, out: np.ndarray) -> None:
-    """Write (G, h, n, D/h) into the rows `rows` (None: all) of `out`."""
+    """Write (G, h, n, D/h) into the rows `rows` of the C-ordered `out`; a
+    slice of rows is written through a reshape, with no copy."""
     g, h, n, hd = m.shape
-    if rows is None:
-        out.reshape(g, n, h, hd)[...] = m.transpose(0, 2, 1, 3)
+    if isinstance(rows, slice):
+        out[rows].reshape(g, n, h, hd)[...] = m.transpose(0, 2, 1, 3)
     else:
         out[rows] = m.transpose(0, 2, 1, 3).reshape(g * n, h * hd)
 
 
+def _part(rows, start: int, stop: int):
+    """Entries start:stop of `rows`, a slice (which stays a slice, so the
+    part indexes a view) or an index array."""
+    if isinstance(rows, slice):
+        return slice(rows.start + start, rows.start + stop)
+    return rows[start:stop]
+
+
 def _query_groups(packing: _Packing, queries):
-    """Per length group, (n, rows, m, q_rows): the packed rows of its
-    sequences of n positions, as in packing.groups, and where its m query
-    positions per sequence sit among the query rows. Without `queries` every
+    """Per length group, (n, g, rows, m, q_rows): its g sequences of n
+    positions, their packed rows, sequence after sequence, and where their m
+    query positions per sequence sit among the query rows. rows is the index
+    of packing.groups, or a slice of every packed row for the single group
+    of a batch whose sequences are all equally long. Without `queries` every
     position queries (m = n, q_rows = rows); with them (the [CLS] rows, in
     packed order) only each sequence's first (m = 1), and q_rows index
     `queries`."""
     for n, rows in packing.groups:
+        whole = rows is None
+        g = (packing.size if whole else len(rows)) // n
+        if whole:
+            rows = slice(0, packing.size)
         if queries is None:
-            yield n, rows, n, rows
+            yield n, g, rows, n, rows
         else:
-            yield n, rows, 1, None if rows is None else np.searchsorted(queries, rows[::n])
+            yield n, g, rows, 1, slice(0, g) if whole else np.searchsorted(queries, rows[::n])
 
 
 def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | None):
@@ -694,17 +777,21 @@ def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | 
     q holds the rows `queries` (None: every row), and so does the merged
     context returned (zero on rows outside every group). The probabilities
     of each group, (G, h, m, n) for m query positions per sequence, are
-    appended to `probs_cache` unless it is None."""
+    appended to `probs_cache` unless it is None; without it, each group
+    runs in chunks of whole sequences whose scores take at most
+    _BLOCK_BYTES (see _blocks)."""
     merged = np.zeros(q.shape, dtype=q.dtype)  # C order: _unheads writes through a reshape
     root_d = math.sqrt(q.shape[1] // h)
-    for n, rows, m, q_rows in _query_groups(packing, queries):
-        scores = _heads(q, q_rows, m, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
-        scores /= root_d
-        probs = softmax(scores)
-        del scores
-        _unheads(probs @ _heads(v, rows, n, h), q_rows, merged)
-        if probs_cache is not None:
-            probs_cache.append(probs)
+    for n, g, rows, m, q_rows in _query_groups(packing, queries):
+        for seqs in _blocks(g, h * m * n * q.itemsize, probs_cache is not None):
+            kv = _part(rows, seqs.start * n, seqs.stop * n)
+            qs = _part(q_rows, seqs.start * m, seqs.stop * m)
+            scores = _heads(q, qs, m, h) @ _heads(k, kv, n, h).transpose(0, 1, 3, 2)
+            scores /= root_d
+            probs = _softmax_in_place(scores)
+            _unheads(probs @ _heads(v, kv, n, h), qs, merged)
+            if probs_cache is not None:
+                probs_cache.append(probs)
     return merged
 
 
@@ -713,7 +800,7 @@ def _attention_backward(d_merged, q, k, v, packing: _Packing, queries, h: int, p
     dq, dk, dv = (np.zeros(m.shape, dtype=m.dtype) for m in (q, k, v))
     scale = 1.0 / math.sqrt(q.shape[1] // h)
     groups = _query_groups(packing, queries)
-    for (n, rows, m, q_rows), probs in zip(groups, probs_cache, strict=True):
+    for (n, _, rows, m, q_rows), probs in zip(groups, probs_cache, strict=True):
         d_ctx = _heads(d_merged, q_rows, m, h)
         qh = _heads(q, q_rows, m, h)
         kh, vh = (_heads(a, rows, n, h) for a in (k, v))
@@ -731,40 +818,68 @@ def _encoder_layer(p, pre, x, packing, queries, cfg, drawn, layers: list | None)
     rows x, everything else over the rows `queries` of x (None: all), whose
     outputs it returns. Dropout iff `drawn` holds the (B, T, D) keep masks of
     the attention and feed-forward outputs; the layer's backward cache is
-    appended to `layers` unless it is None."""
+    appended to `layers` unless it is None. Without a cache, Q, K and V are
+    dropped once attention has read them, the merged heads once projected
+    and the attention output once added to its residual."""
     lc: dict = {"x_in": x}
     xq = x if queries is None else x[queries]
-    q = xq @ p[pre + "attn_q.weight"] + p[pre + "attn_q.bias"]
-    k = x @ p[pre + "attn_k.weight"] + p[pre + "attn_k.bias"]
-    v = x @ p[pre + "attn_v.weight"] + p[pre + "attn_v.bias"]
+    q = _linear(xq, p, pre + "attn_q")
+    k = _linear(x, p, pre + "attn_k")
+    v = _linear(x, p, pre + "attn_v")
 
     probs = None if layers is None else []
     merged = _attention(q, k, v, packing, queries, cfg.num_heads, probs)
-    attn = merged @ p[pre + "attn_out.weight"] + p[pre + "attn_out.bias"]
+    if layers is not None:
+        lc.update(q=q, k=k, v=v, probs=probs, merged=merged)
+    del q, k, v
+    attn = _linear(merged, p, pre + "attn_out")
+    del merged
     if drawn is not None:
-        attn, lc["attn_keep"] = _dropout(attn, cfg.dropout_rate, drawn[0], packing, queries)
-    h1, ln1_cache = _layer_norm(
-        xq + attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"]
-    )
+        lc["attn_keep"] = _dropout_keep(attn.dtype, cfg.dropout_rate, drawn[0], packing, queries)
+        attn *= lc["attn_keep"]
+    attn += xq
+    h1, ln1_cache = _layer_norm(attn, p[pre + "attn_norm.scale"], p[pre + "attn_norm.shift"])
+    if layers is not None:
+        lc.update(h1=h1, ln1=ln1_cache)
+    del attn, ln1_cache  # ln1_cache holds attn's buffer
 
-    ffn_pre = h1 @ p[pre + "ffn_in.weight"] + p[pre + "ffn_in.bias"]
-    # a pass that keeps a cache keeps gelu's erf term for the backward
-    ffn_phi = None if layers is None else gelu_phi(ffn_pre)
-    ffn_act = gelu(ffn_pre, ffn_phi)
-    ffn_out = ffn_act @ p[pre + "ffn_out.weight"] + p[pre + "ffn_out.bias"]
+    ffn_keep = None
     if drawn is not None:
-        ffn_out, lc["ffn_keep"] = _dropout(ffn_out, cfg.dropout_rate, drawn[1], packing, queries)
-    h2, ln2_cache = _layer_norm(
-        h1 + ffn_out, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"]
-    )
+        ffn_keep = lc["ffn_keep"] = _dropout_keep(
+            h1.dtype, cfg.dropout_rate, drawn[1], packing, queries
+        )
+    ffn_sum = _feed_forward(p, pre, h1, ffn_keep, None if layers is None else lc)
+    h2, ln2_cache = _layer_norm(ffn_sum, p[pre + "ffn_norm.scale"], p[pre + "ffn_norm.shift"])
 
     if layers is not None:
-        lc.update(
-            q=q, k=k, v=v, probs=probs, merged=merged,
-            h1=h1, ln1=ln1_cache, ffn_pre=ffn_pre, ffn_phi=ffn_phi, ln2=ln2_cache,
-        )
+        lc["ln2"] = ln2_cache
         layers.append(lc)
     return h2
+
+
+def _feed_forward(p, pre, h1, keep, lc: dict | None) -> np.ndarray:
+    """h1 plus the feed-forward output, scaled by the dropout factor `keep`
+    (None: no dropout), in a new array. Without a cache (lc None) it runs in
+    row blocks of h1 whose (rows, ffn_dim) arrays take at most _BLOCK_BYTES,
+    each block's dropped before the next; with one it runs one block and
+    stores its input and GELU term in lc."""
+    out = np.empty_like(h1)
+    row_bytes = p[pre + "ffn_in.weight"].shape[1] * h1.itemsize
+    for rows in _blocks(len(h1), row_bytes, lc is not None):
+        ffn_pre = _linear(h1[rows], p, pre + "ffn_in")
+        if lc is None:
+            act = gelu(ffn_pre)
+        else:  # kept for the backward
+            lc["ffn_pre"], lc["ffn_phi"] = ffn_pre, gelu_phi(ffn_pre)
+            act = gelu(ffn_pre, lc["ffn_phi"])
+        del ffn_pre
+        y = np.matmul(act, p[pre + "ffn_out.weight"], out=out[rows])
+        del act
+        y += p[pre + "ffn_out.bias"]
+        if keep is not None:
+            y *= keep[rows]
+        y += h1[rows]
+    return out
 
 
 def _label_array(labels: Sequence[int], rows: int, classes: int) -> np.ndarray:
@@ -809,14 +924,14 @@ def backward(
     here: the returned output has `cache=None`.
     """
     cfg = params.config
-    labels_arr = _label_array(labels, len(batch), cfg.num_classes)
     ids, mask = batch_arrays(batch)
+    labels_arr = _label_array(labels, len(batch), cfg.num_classes)
     keeps = _dropout_masks(cfg, mask.shape, rng)
 
     def step(rows: slice):
         cache: dict = {}
         shard_keeps = None if keeps is None else [k[rows] for k in keeps]
-        out = _run_encoder(params, embed(params, ids[rows]), mask[rows], shard_keeps, cache)
+        out = _run_encoder(params, ids[rows], mask[rows], shard_keeps, cache)
         out.cache = None
         dlogits = out.probabilities.copy()
         dlogits[np.arange(len(dlogits)), labels_arr[rows]] -= 1.0

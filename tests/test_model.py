@@ -116,6 +116,9 @@ def test_invalid_config_rejected():
         ({"dropout_rate": 1.0}, r"dropout_rate must lie in \[0, 1\), got 1.0"),
         ({"dropout_rate": -0.1}, r"dropout_rate must lie in \[0, 1\), got -0.1"),
         ({"dropout_rate": float("nan")}, r"dropout_rate must lie in \[0, 1\), got nan"),
+        ({"dropout_rate": True}, "dropout_rate must be a real number, got True"),
+        ({"dropout_rate": "0.1"}, "dropout_rate must be a real number, got '0.1'"),
+        ({"dropout_rate": 0.1j}, r"dropout_rate must be a real number, got 0.1j"),
     ],
 )
 def test_out_of_range_config_values_rejected(change, message):
@@ -472,6 +475,100 @@ def test_eval_forward_holds_no_cache_memory():
     assert eval_held == 0
     assert train_held > 10 * 2**20
     assert eval_peak < 0.5 * train_peak
+
+
+def _desk_params(dtype):
+    config = ModelConfig(
+        vocab_size=1000, max_positions=512, hidden_dim=256,
+        num_heads=4, num_layers=4, ffn_dim=1024, dropout_rate=0.0,
+    )
+    return init_parameters(config, seed=0, dtype=dtype)
+
+
+def test_eval_forward_peak_is_bounded_at_desk_shape(set_shards):
+    # 16 rows of up to 512 tokens, three of them in one length group, one
+    # shard: the peak is about five (N, D) arrays (the layer input, Q, K, V
+    # and the merged heads) plus one attention block. The unblocked pass
+    # that kept each layer's arrays to its end peaked at 114 MiB on this
+    # batch, the blocked one at 36 MiB; the bound lies halfway.
+    set_shards(1)
+    params = _desk_params(np.float32)
+    rng = np.random.default_rng(1)
+    lengths = [512, 512, 512, *rng.integers(64, 512, 13).tolist()]
+    batch = [make_seq([2, *rng.integers(5, 1000, n - 2).tolist(), 3], n, 512) for n in lengths]
+    tracemalloc.start()
+    try:
+        forward(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 75 * 2**20
+
+
+_BLOCKED_BATCHES = {
+    "ragged": (16, [12, 5, 12, 3, 5, 12]),
+    "one length": (8, [8, 8, 8, 8]),
+    "one row": (10, [9]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", sorted(_BLOCKED_BATCHES))
+def test_one_row_blocks_match_the_unblocked_pass(
+    toy_config, set_shards, monkeypatch, shape, dtype
+):
+    # a budget of one byte makes every feed-forward block one row and every
+    # attention chunk one sequence; the cache-keeping pass runs each whole.
+    # A one-row product runs as a matrix-vector product, whose float64 sums
+    # may round differently (up to 6e-16 on these logits); float32 agrees
+    # exactly here
+    width, lengths = _BLOCKED_BATCHES[shape]
+    cfg = dataclasses.replace(toy_config, num_layers=2, max_positions=width)
+    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
+    params = dataclasses.replace(
+        params, tensors={k: v.astype(dtype) for k, v in params.tensors.items()}
+    )
+    rng = np.random.default_rng(8)
+    batch = [make_seq([2, *rng.integers(5, 100, n - 2).tolist(), 3], n, width) for n in lengths]
+    ids, mask = batch_arrays(batch)
+    whole = forward_from_embeddings(params, embed(params, ids), mask).logits
+
+    blocks = []
+    cut = model_mod._blocks
+
+    def recording(count, item_bytes, whole):
+        out = cut(count, item_bytes, whole)
+        blocks.append((count, len(out), whole))
+        return out
+
+    monkeypatch.setattr(model_mod, "_blocks", recording)
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 1)
+    set_shards(1)
+    blocked = forward(params, batch).logits
+    assert blocks and all(n == count and not whole for count, n, whole in blocks)
+    assert max(n for _, n, _ in blocks) > 1
+    assert blocked.dtype == dtype
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+
+def test_numpy_float_dropout_rate_saves_and_reloads_equal(tmp_path):
+    config = dataclasses.replace(ModelConfig.toy(), dropout_rate=np.float32(0.1))
+    assert type(config.dropout_rate) is float
+    path = str(tmp_path / "model.phl")
+    save_checkpoint(init_parameters(config, seed=0), path)
+    assert load_checkpoint(path)[0].config == config
+
+
+def test_empty_batch_is_refused_by_name(toy_params):
+    for run in (lambda: forward(toy_params, []), lambda: backward(toy_params, [], [])):
+        with pytest.raises(ValueError, match="a batch needs at least one sequence"):
+            run()
+
+
+def test_rows_of_unequal_width_are_refused_by_name(toy_params):
+    batch = [make_seq([2, 5, 3], 3, 8), make_seq([2, 9, 3], 3, 6)]
+    with pytest.raises(ValueError, match=r"the same width, got ids and masks of widths \[6, 8\]"):
+        forward(toy_params, batch)
 
 
 def test_checkpoint_round_trip_bit_exact(toy_params, tmp_path):
