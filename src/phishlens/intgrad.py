@@ -8,12 +8,13 @@ the two embeddings, accumulated with a midpoint Riemann sum. Completeness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .model import (
+    _PASS_CACHE_BYTES,
     ModelParameters,
     _cache_bytes_per_row,
     batch_arrays,
@@ -24,12 +25,6 @@ from .model import (
     grad_wrt_embeddings,
 )
 from .tokenizer import TokenSequence, Vocabulary, encode
-
-# Forward-cache bytes one IG pass may keep; the path steps per pass are this
-# over _cache_bytes_per_row. On the small float64 model (d=128, 2 layers)
-# that is 96 rows at 8 real tokens and 12 at 64; a row of the paper's model
-# at 512 tokens keeps 185 MiB in float32 and runs alone.
-_PASS_CACHE_BYTES = 16 << 20
 
 
 @dataclass
@@ -134,7 +129,9 @@ def integrated_gradients(
     ids, mask = batch_arrays([input_seq, baseline_seq])
     e = embed(params, ids)
     grad_fn = _logit_grad_fn(params, mask[0], target)
-    row_bytes = _cache_bytes_per_row(params.config, e.shape[1], e.dtype)
+    # the path's passes drop nothing, whatever the model's dropout rate
+    no_dropout = replace(params.config, dropout_rate=0.0)
+    row_bytes = _cache_bytes_per_row(no_dropout, e.shape[1], e.dtype)
     rows = max(1, _PASS_CACHE_BYTES // row_bytes)
     attribution = np.zeros((len(input_seq.input_ids), e.shape[2]), dtype=e.dtype)
     attribution[: e.shape[1]] = path_integrate(grad_fn, e[0], e[1], steps, rows)

@@ -18,7 +18,9 @@ Eval-mode forward and backward run a batch as contiguous row shards, one
 per CPU the process may use (`taskset -c 0` gives the one-shard pass); see
 _in_shards. During a sharded pass BLAS runs single-threaded, so BLAS calls
 made meanwhile by other threads of the process run single-threaded too, and
-a training step holds one extra gradient set per extra shard.
+a training step holds one extra gradient set per extra shard. backward runs
+each shard's rows in pieces whose caches fit _PASS_CACHE_BYTES, so its
+memory does not grow with the batch.
 Default dtype is float64 so finite-difference gradient checks are
 meaningful; a float32 model computes in float32 (scalar constants are
 Python floats, which never promote an array). float32 GELU takes its erf
@@ -185,12 +187,12 @@ GradientSet = dict[str, np.ndarray]
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    # Redraw anything beyond two standard deviations (BERT-style init).
+    # Redraw anything beyond two standard deviations (BERT-style init),
+    # found by two comparisons, which need no float copy of out.
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
+    while (bad := (out > 2.0 * std) | (out < -2.0 * std)).any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    del bad
     return out.astype(dtype)
 
 
@@ -559,6 +561,34 @@ def _in_shards(mask: np.ndarray, run: Callable[[slice], object]) -> list:
     return [first, *(f.result() for f in pending)]
 
 
+# Cache bytes that one pass keeping its cache may hold. IG sends
+# max(1, this // _cache_bytes_per_row) path steps through each pass, and
+# each shard of backward runs its rows in pieces that fit it (_pieces), so a
+# sharded training step holds at most _cpus() budgets of cache. IG on the
+# small float64 model (d=128, 2 layers) takes 96 rows per pass at 8 real
+# tokens and 12 at 64; training the desk model (d=256, 4 layers, float32,
+# dropout) takes one row of 128 tokens (8.0 MiB) or two shorter ones; a
+# 512-token row of the paper's model (185 MiB in IG, 201 MiB in training,
+# float32) runs alone. Half this budget, which runs nearly every desk-model
+# row alone, made the train benchmark's 16-row backward 0.49 s against
+# 0.40 s on 2 vCPUs.
+_PASS_CACHE_BYTES = 16 << 20
+
+
+def _pieces(row_bytes: np.ndarray) -> list[slice]:
+    """Contiguous pieces of rows, in order, each taking as many rows as fit
+    their summed `row_bytes` in _PASS_CACHE_BYTES; a row over it runs
+    alone."""
+    bounds, held = [0], 0
+    for row, size in enumerate(row_bytes.tolist()):
+        if held + size > _PASS_CACHE_BYTES and row > bounds[-1]:
+            bounds.append(row)
+            held = 0
+        held += size
+    bounds.append(len(row_bytes))
+    return [slice(a, b) for a, b in itertools.pairwise(bounds)]
+
+
 # ------------------------------------------------------------------ forward
 
 
@@ -649,21 +679,29 @@ def forward_from_embeddings(
     return _run_encoder(params, embeddings, mask, None, cache={})
 
 
-def _cache_bytes_per_row(config: ModelConfig, length: int, dtype) -> int:
-    """Bytes of the arrays that the cache of forward_from_embeddings keeps
-    per row of a batch whose rows all have `length` real positions and no
-    padding, in `dtype`: the layers' activations, the head's, the mask and,
-    as the first layer's input, the embeddings. (The _Packing's few int64
-    per row are not counted.)"""
+def _cache_bytes_per_row(config: ModelConfig, length, dtype):
+    """Bytes of the arrays that the cache of a pass of `config` keeps per
+    row of `length` real positions (an int, or an array of one per row), in
+    `dtype`: the layers' activations, the head's, the mask and, as the
+    first layer's input, the embeddings; with dropout_rate > 0, as in a
+    train-mode pass, also the dropout factors. forward_from_embeddings
+    drops nothing, so its cache is that of the config with dropout_rate 0.
+    Exact for a batch without padding; a padded row also keeps the mask at
+    its padding. (The _Packing's few int64 per row are not counted.)"""
     d, f, h, n = config.hidden_dim, config.ffn_dim, config.num_heads, length
+    layers = config.num_layers
     elements = n + 3 * d  # mask; head: [CLS] vector, pre-ReLU, post-ReLU
-    if config.num_layers:
+    if layers:
         # all n rows: input, Q, K, V, merged heads, h1, two normalized
         # inputs, FFN input and GELU term, two norm sigmas, probabilities
         per_layer = n * (8 * d + 2 * f + 2 + h * n)
         # the last layer: input, K, V over n rows; the rest at [CLS] alone
         last = 3 * d * n + 5 * d + 2 * f + 2 + h * n
-        elements += (config.num_layers - 1) * per_layer + last
+        elements += (layers - 1) * per_layer + last
+    if config.dropout_rate > 0.0:
+        # the embeddings' factor; the attention and feed-forward factors
+        # over all n rows of each layer but the last, and at its [CLS]
+        elements += d * n + 2 * d * ((layers - 1) * n + 1 if layers else 0)
     return elements * np.dtype(dtype).itemsize
 
 
@@ -918,39 +956,51 @@ def backward(
     """Train-mode forward over `batch`, then exact gradients of its mean
     cross-entropy loss for every parameter.
 
-    The pass runs in row shards (_in_shards), each with its rows of the
-    batch's dropout masks; their gradients, each already divided by the
-    whole batch's size, are summed in shard order. The cache is consumed
-    here: the returned output has `cache=None`.
+    The pass runs in row shards (_in_shards), and each shard runs its rows
+    in pieces whose caches fit _PASS_CACHE_BYTES (_pieces, sized by
+    _cache_bytes_per_row at each row's real length), one after another,
+    each with its rows of the batch's dropout masks. Each piece adds its
+    gradients, already divided by the whole batch's size, into its shard's
+    one gradient set, and the shards' sets are summed in shard order, so
+    the order of the sums depends only on the batch and the CPU count. The
+    cache is consumed here: the returned output has `cache=None`.
     """
     cfg = params.config
     ids, mask = batch_arrays(batch)
     labels_arr = _label_array(labels, len(batch), cfg.num_classes)
     keeps = _dropout_masks(cfg, mask.shape, rng)
+    row_bytes = _cache_bytes_per_row(
+        cfg, (mask != 0.0).sum(axis=1), params.tensors["token_embedding"].dtype
+    )
 
-    def step(rows: slice):
-        cache: dict = {}
-        shard_keeps = None if keeps is None else [k[rows] for k in keeps]
-        out = _run_encoder(params, ids[rows], mask[rows], shard_keeps, cache)
-        out.cache = None
-        dlogits = out.probabilities.copy()
-        dlogits[np.arange(len(dlogits)), labels_arr[rows]] -= 1.0
-        dlogits /= len(labels_arr)
-        grads, d_embed = _backward_core(params, cache, dlogits, want_param_grads=True)
-        return out, grads, cache["packing"].gather(ids[rows]), d_embed
+    def shard(rows: slice):
+        """(outputs, gradient set, (packed ids, embedding gradient) per
+        piece) of the shard `rows`."""
+        outs, grads, embed_grads = [], {}, []
+        for part in _pieces(row_bytes[rows]):
+            piece = slice(rows.start + part.start, rows.start + part.stop)
+            cache: dict = {}
+            piece_keeps = None if keeps is None else [k[piece] for k in keeps]
+            out = _run_encoder(params, ids[piece], mask[piece], piece_keeps, cache)
+            out.cache = None
+            dlogits = out.probabilities.copy()
+            dlogits[np.arange(len(dlogits)), labels_arr[piece]] -= 1.0
+            dlogits /= len(labels_arr)
+            d_embed = _backward_core(params, cache, dlogits, grads)
+            outs.append(out)
+            embed_grads.append((cache["packing"].gather(ids[piece]), d_embed))
+        return outs, grads, embed_grads
 
-    shards = _in_shards(mask, step)
-    outs, grads = [], None
+    shards = _in_shards(mask, shard)
+    outs, grads = [], {}
     token_grad = np.zeros_like(params.tensors["token_embedding"])
     while shards:  # each shard's gradients are dropped once added
-        out, shard_grads, packed_ids, d_embed = shards.pop(0)
-        outs.append(out)
-        np.add.at(token_grad, packed_ids, d_embed)
-        if grads is None:
-            grads = shard_grads
-        else:
-            for name, g in shard_grads.items():
-                grads[name] += g
+        shard_outs, shard_grads, embed_grads = shards.pop(0)
+        outs += shard_outs
+        for packed_ids, d_embed in embed_grads:
+            np.add.at(token_grad, packed_ids, d_embed)
+        for name, g in shard_grads.items():
+            _accumulate(grads, name, g)
     grads["token_embedding"] = token_grad
     return _joined(outs), {name: grads[name] for name in params.tensors}
 
@@ -968,29 +1018,30 @@ def grad_wrt_embeddings(
     b, c = output.logits.shape
     dlogits = np.zeros((b, c), dtype=output.logits.dtype)
     dlogits[:, target] = 1.0
-    _, d_embed = _backward_core(params, cache, dlogits, want_param_grads=False)
+    d_embed = _backward_core(params, cache, dlogits, None)
     return cache["packing"].scatter(d_embed)
 
 
-def _backward_core(params, cache, dlogits, want_param_grads: bool):
-    """Gradients from the cache of one pass: (parameter grads or None, the
-    packed (N, D) gradient of the embeddings). The parameter grads lack
-    token_embedding, which the caller builds from that gradient."""
+def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndarray:
+    """The packed (N, D) gradient of the embeddings from the cache of one
+    pass; unless `grads` is None, each parameter's gradient is also added
+    into it as soon as computed (see _accumulate), so a pass's gradients
+    never exist as a second set. They lack token_embedding, which the
+    caller builds from the embeddings' gradient."""
     cfg = params.config
     p = params.tensors
-    grads: GradientSet = {}
 
     pre_act, pre_lin, cls_vec = cache["pre_act"], cache["pre_lin"], cache["cls_vec"]
     packing = cache["packing"]
 
-    if want_param_grads:
-        grads["classifier.weight"] = pre_act.T @ dlogits
-        grads["classifier.bias"] = dlogits.sum(axis=0)
+    if grads is not None:
+        _accumulate(grads, "classifier.weight", pre_act.T @ dlogits)
+        _accumulate(grads, "classifier.bias", dlogits.sum(axis=0))
     d_pre_act = dlogits @ p["classifier.weight"].T
     d_pre_lin = d_pre_act * (pre_lin > 0.0)
-    if want_param_grads:
-        grads["prehead.weight"] = cls_vec.T @ d_pre_lin
-        grads["prehead.bias"] = d_pre_lin.sum(axis=0)
+    if grads is not None:
+        _accumulate(grads, "prehead.weight", cls_vec.T @ d_pre_lin)
+        _accumulate(grads, "prehead.bias", d_pre_lin.sum(axis=0))
     d_cls = d_pre_lin @ p["prehead.weight"].T
 
     # d_cls is the gradient of the last layer's output when that layer
@@ -1011,40 +1062,40 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         d_sum2, d_scale2, d_shift2 = _layer_norm_backward(
             dx, lc["ln2"], p[pre + "ffn_norm.scale"]
         )
-        if want_param_grads:
-            grads[pre + "ffn_norm.scale"] = d_scale2
-            grads[pre + "ffn_norm.shift"] = d_shift2
+        if grads is not None:
+            _accumulate(grads, pre + "ffn_norm.scale", d_scale2)
+            _accumulate(grads, pre + "ffn_norm.shift", d_shift2)
         d_h1 = d_sum2.copy()
         d_ffn_out = d_sum2
         if "ffn_keep" in lc:
             d_ffn_out = d_ffn_out * lc["ffn_keep"]
 
-        if want_param_grads:
+        if grads is not None:
             ffn_act = gelu(lc["ffn_pre"], lc["ffn_phi"])  # recomputed, not cached
-            grads[pre + "ffn_out.weight"] = ffn_act.T @ d_ffn_out
+            _accumulate(grads, pre + "ffn_out.weight", ffn_act.T @ d_ffn_out)
             del ffn_act
-            grads[pre + "ffn_out.bias"] = d_ffn_out.sum(axis=0)
+            _accumulate(grads, pre + "ffn_out.bias", d_ffn_out.sum(axis=0))
         d_ffn_pre = gelu_grad(lc["ffn_pre"], lc["ffn_phi"])
         d_ffn_pre *= d_ffn_out @ p[pre + "ffn_out.weight"].T
-        if want_param_grads:
-            grads[pre + "ffn_in.weight"] = lc["h1"].T @ d_ffn_pre
-            grads[pre + "ffn_in.bias"] = d_ffn_pre.sum(axis=0)
+        if grads is not None:
+            _accumulate(grads, pre + "ffn_in.weight", lc["h1"].T @ d_ffn_pre)
+            _accumulate(grads, pre + "ffn_in.bias", d_ffn_pre.sum(axis=0))
         d_h1 += d_ffn_pre @ p[pre + "ffn_in.weight"].T
 
         d_sum1, d_scale1, d_shift1 = _layer_norm_backward(
             d_h1, lc["ln1"], p[pre + "attn_norm.scale"]
         )
-        if want_param_grads:
-            grads[pre + "attn_norm.scale"] = d_scale1
-            grads[pre + "attn_norm.shift"] = d_shift1
+        if grads is not None:
+            _accumulate(grads, pre + "attn_norm.scale", d_scale1)
+            _accumulate(grads, pre + "attn_norm.shift", d_shift1)
         d_xq = d_sum1.copy()
         d_attn = d_sum1
         if "attn_keep" in lc:
             d_attn = d_attn * lc["attn_keep"]
 
-        if want_param_grads:
-            grads[pre + "attn_out.weight"] = lc["merged"].T @ d_attn
-            grads[pre + "attn_out.bias"] = d_attn.sum(axis=0)
+        if grads is not None:
+            _accumulate(grads, pre + "attn_out.weight", lc["merged"].T @ d_attn)
+            _accumulate(grads, pre + "attn_out.bias", d_attn.sum(axis=0))
         dq, dk, dv = _attention_backward(
             d_attn @ p[pre + "attn_out.weight"].T,
             lc["q"], lc["k"], lc["v"], packing, queries, cfg.num_heads, lc["probs"],
@@ -1053,10 +1104,10 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
         # dq reaches the query rows, dk and dv every row
         x_in = lc["x_in"]
         xq = x_in if queries is None else x_in[queries]
-        if want_param_grads:
+        if grads is not None:
             for dname, dm, src in (("attn_q", dq, xq), ("attn_k", dk, x_in), ("attn_v", dv, x_in)):
-                grads[pre + dname + ".weight"] = src.T @ dm
-                grads[pre + dname + ".bias"] = dm.sum(axis=0)
+                _accumulate(grads, pre + dname + ".weight", src.T @ dm)
+                _accumulate(grads, pre + dname + ".bias", dm.sum(axis=0))
         d_xq += dq @ p[pre + "attn_q.weight"].T
         if queries is None:
             d_x = d_xq
@@ -1070,12 +1121,21 @@ def _backward_core(params, cache, dlogits, want_param_grads: bool):
     if "embed_keep" in cache:
         dx = dx * cache["embed_keep"]
 
-    if want_param_grads:
-        t = packing.shape[1]
-        grads["position_embedding"] = np.zeros_like(p["position_embedding"])
-        grads["position_embedding"][:t] = packing.scatter(dx).sum(axis=0)
+    if grads is not None:
+        d_position = np.zeros_like(p["position_embedding"])
+        d_position[: packing.shape[1]] = packing.scatter(dx).sum(axis=0)
+        _accumulate(grads, "position_embedding", d_position)
 
-    return (grads if want_param_grads else None), dx
+    return dx
+
+
+def _accumulate(grads: GradientSet, name: str, g: np.ndarray) -> None:
+    """Add `g` into grads[name] in place, or store it there if `name` has
+    no gradient yet."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
 
 
 # --------------------------------------------------------------- checkpoint

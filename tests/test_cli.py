@@ -743,6 +743,11 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("explain", "lime", {"ridge_alpha": float("inf")}),
         ("explain", "lime", {"ridge_alpha": float("nan")}),
         ("explain", "lime", {"exhaustive": "no"}),
+        ("train", "train", {"learning_rate": float("nan")}),
+        ("train", "train", {"learning_rate": float("inf")}),
+        ("train", "train", {"epsilon": float("nan")}),
+        ("train", "train", {"weight_decay": -1.0}),
+        ("train", "train", {"weight_decay": float("nan")}),
     ],
 )
 def test_rejected_config_section_is_usage_error(

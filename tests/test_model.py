@@ -94,6 +94,23 @@ def test_init_truncation_and_constants(toy_params):
     assert np.all(toy_params.tensors["prehead.bias"] == 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_draws_the_textbook_truncated_normal(toy_config, dtype):
+    # each weight: std-0.02 normals, those beyond 2 std redrawn from the same
+    # rng until none is, in parameter_shapes order; the rest are constants
+    rng = np.random.default_rng(11)
+    params = init_parameters(toy_config, seed=11, dtype=dtype)
+    for name, shape in model_mod.parameter_shapes(toy_config).items():
+        if name.endswith((".scale", ".bias", ".shift")):
+            continue
+        expected = rng.normal(0.0, 0.02, size=shape)
+        while (np.abs(expected) > 0.04).any():
+            bad = np.abs(expected) > 0.04
+            expected[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+        assert params.tensors[name].dtype == dtype
+        np.testing.assert_array_equal(params.tensors[name], expected.astype(dtype), err_msg=name)
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(
@@ -155,20 +172,38 @@ def _cache_buffers(obj, out: dict) -> dict:
     return out
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    ("dtype", "train_mode", "dropout_rate"),
+    [
+        pytest.param(dtype, train_mode, rate, id=np.dtype(dtype).name + suffix)
+        for train_mode, rate, suffix in [
+            (False, 0.0, ""), (True, 0.0, "-train"), (True, 0.1, "-dropout")
+        ]
+        for dtype in (np.float32, np.float64)
+    ],
+)
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
 @pytest.mark.parametrize("length", [1, 7, 64])
-def test_cache_bytes_per_row_counts_what_forward_from_embeddings_keeps(dtype, num_layers, length):
+def test_cache_bytes_per_row_counts_what_forward_from_embeddings_keeps(
+    dtype, train_mode, dropout_rate, num_layers, length
+):
     config = ModelConfig(
         vocab_size=50, max_positions=64, hidden_dim=8, num_heads=2,
-        num_layers=num_layers, ffn_dim=12, dropout_rate=0.0,
+        num_layers=num_layers, ffn_dim=12, dropout_rate=dropout_rate,
     )
     params = init_parameters(config, seed=0, dtype=dtype)
     rows = 3
-    embeddings = np.random.default_rng(1).normal(size=(rows, length, 8)).astype(dtype)
-    out = forward_from_embeddings(params, embeddings, np.ones((rows, length), dtype))
+    rng = np.random.default_rng(1)
+    if train_mode:  # a train-mode pass from token ids, with its dropout factors
+        batch = [make_seq(rng.integers(5, 50, length), length, length) for _ in range(rows)]
+        out = forward(params, batch, train_mode=True, rng=rng)
+    else:
+        embeddings = rng.normal(size=(rows, length, 8)).astype(dtype)
+        out = forward_from_embeddings(params, embeddings, np.ones((rows, length), dtype))
     kept = sum(b.nbytes for b in _cache_buffers(out.cache, {}).values())
     assert kept == rows * model_mod._cache_bytes_per_row(config, length, dtype)
+    lengths = np.full(rows, length)
+    assert list(model_mod._cache_bytes_per_row(config, lengths, dtype)) == [kept // rows] * rows
 
 
 def test_forward_shapes_and_probability_rows(toy_params):
@@ -503,6 +538,26 @@ def test_eval_forward_peak_is_bounded_at_desk_shape(set_shards):
     finally:
         tracemalloc.stop()
     assert peak < 75 * 2**20
+
+
+def test_backward_peak_is_bounded_by_the_pass_cache_budget(set_shards, monkeypatch):
+    # 16 rows of 64 tokens keep 13 MiB of train-mode cache, 13 budgets of
+    # 1 MiB: one pass over them all peaked at 27 MiB, one-row pieces peak at 5
+    config = ModelConfig(
+        vocab_size=100, max_positions=64, hidden_dim=64, num_heads=4,
+        num_layers=2, ffn_dim=256, dropout_rate=0.1,
+    )
+    params = init_parameters(config, seed=2)
+    rng = np.random.default_rng(3)
+    batch = [make_seq([2, *rng.integers(5, 100, 63).tolist()], 64, 64) for _ in range(16)]
+    monkeypatch.setattr(model_mod, "_PASS_CACHE_BYTES", 2**20)
+    whole = 16 * model_mod._cache_bytes_per_row(config, 64, np.float64)
+    assert whole >= 8 * model_mod._PASS_CACHE_BYTES
+    set_shards(1)
+    peak = _traced_peak(
+        lambda: backward(params, batch, [i % 2 for i in range(16)], rng=np.random.default_rng(0))
+    )
+    assert peak < 12 * 2**20
 
 
 _BLOCKED_BATCHES = {

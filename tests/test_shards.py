@@ -1,5 +1,7 @@
 """Eval-mode forward and backward run a batch as row shards on threads
-(model._in_shards); these tests hold them to the one-shard pass."""
+(model._in_shards), and backward runs each shard's rows in pieces that fit
+a cache budget (model._pieces); these tests hold them to the one-shard,
+one-piece pass."""
 
 import dataclasses
 import sys
@@ -74,6 +76,52 @@ def test_sharded_backward_with_dropout_matches_one_shard(toy_config, set_shards,
     assert list(sharded_grads) == list(params.tensors)
     for name, g in grads.items():
         np.testing.assert_allclose(sharded_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _pass_rows(monkeypatch) -> list:
+    """The rows of every encoder pass run from now on, in the order they start."""
+    seen = []
+    run_encoder = model._run_encoder
+
+    def recording(params, inputs, *args):
+        seen.append(len(inputs))
+        return run_encoder(params, inputs, *args)
+
+    monkeypatch.setattr(model, "_run_encoder", recording)
+    return seen
+
+
+@pytest.mark.parametrize("rows_per_piece", [1, 2])
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_backward_in_pieces_matches_one_pass(
+    toy_config, set_shards, monkeypatch, rows_per_piece, shards
+):
+    # a budget of one byte runs every row alone; the cache of the longest
+    # row takes the others two at a time
+    params, batch = _params(toy_config, dropout_rate=0.1), _batch(RAGGED)
+    labels = [i % 2 for i in range(len(batch))]
+    set_shards(1)
+    seen = _pass_rows(monkeypatch)
+    out, grads = backward(params, batch, labels, rng=np.random.default_rng(7))
+    assert seen == [len(batch)]
+    longest = model._cache_bytes_per_row(params.config, max(RAGGED), np.float64)
+    budget = 1 if rows_per_piece == 1 else longest
+    monkeypatch.setattr(model, "_PASS_CACHE_BYTES", budget)
+    seen.clear()
+    set_shards(shards)
+    pieced_out, pieced_grads = backward(params, batch, labels, rng=np.random.default_rng(7))
+    assert sum(seen) == len(batch) and len(seen) > shards
+    assert max(seen) == rows_per_piece
+    assert pieced_out.cache is None
+    again_out, again_grads = backward(params, batch, labels, rng=np.random.default_rng(7))
+    np.testing.assert_array_equal(again_out.logits, pieced_out.logits)
+    for name, g in pieced_grads.items():  # the sums run in a fixed order
+        np.testing.assert_array_equal(again_grads[name], g, err_msg=name)
+    np.testing.assert_allclose(pieced_out.logits, out.logits, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pieced_out.probabilities, out.probabilities, rtol=0, atol=1e-12)
+    assert list(pieced_grads) == list(params.tensors)
+    for name, g in grads.items():
+        np.testing.assert_allclose(pieced_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_sharded_passes_are_deterministic(toy_config, set_shards):

@@ -110,6 +110,56 @@ def test_config_validation():
         TrainConfig(epsilon=0.0)
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("learning_rate", math.nan, "learning_rate must be finite and positive, got nan"),
+        ("learning_rate", math.inf, "learning_rate must be finite and positive, got inf"),
+        ("epsilon", math.nan, "epsilon must be finite and positive, got nan"),
+        ("weight_decay", -1.0, "weight_decay must be finite and at least 0, got -1.0"),
+        ("weight_decay", math.nan, "weight_decay must be finite and at least 0, got nan"),
+    ],
+)
+def test_non_finite_or_negative_optimizer_floats_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
+def _textbook_adamw(tensors, grads, m, v, step, cfg):
+    """The update of adamw_step, one whole-tensor expression at a time."""
+    bc1, bc2 = 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step
+    for name, theta in tensors.items():
+        g = grads[name]
+        m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+        v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+        update = cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.epsilon)
+        if theta.ndim == 2:
+            update = update + cfg.learning_rate * cfg.weight_decay * theta
+        tensors[name] = theta - update
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_is_bit_identical_to_the_textbook_update(dtype):
+    # decayed matrices cut into several blocks, one with a short last block,
+    # and exempt vectors longer and shorter than a block
+    rng = np.random.default_rng(6)
+    shapes = {"wide": (300, 700), "tall": (70000, 3), "bias": (70000,), "scale": (5,)}
+    tensors = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    expected = {k: t.copy() for k, t in tensors.items()}
+    m, v = ({k: np.zeros_like(t) for k, t in tensors.items()} for _ in range(2))
+    state = OptimizerState.zeros_like(tensors)
+    cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.1)
+    for step in range(1, 4):
+        grads = {k: rng.normal(scale=0.1, size=s).astype(dtype) for k, s in shapes.items()}
+        adamw_step(tensors, grads, state, cfg)
+        _textbook_adamw(expected, grads, m, v, step, cfg)
+    for name in shapes:
+        assert tensors[name].dtype == dtype
+        np.testing.assert_array_equal(tensors[name], expected[name], err_msg=name)
+        np.testing.assert_array_equal(state.first_moment[name], m[name], err_msg=name)
+        np.testing.assert_array_equal(state.second_moment[name], v[name], err_msg=name)
+
+
 def _toy_setup(n_records=200, seed=0, layers=2):
     corpus = synthetic_corpus(n_records, seed=seed)
     parts = split(corpus, 0.8, seed=seed)
