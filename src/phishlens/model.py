@@ -11,16 +11,15 @@ and values still cover all N rows, but queries, attention ((G, h, 1, L)
 probabilities), the output projection, the layer norms and the feed-forward
 run on the B [CLS] rows, and the result is the head's input. Passes from
 token ids embed the real positions alone. A pass that keeps no cache drops
-each array once its next step has read it, and runs the feed-forward in
-row blocks and attention in chunks of whole sequences of at most
-_BLOCK_BYTES; a pass that keeps its cache runs the same loops as one block.
+each array once its next step has read it.
 Eval-mode forward and backward run a batch as contiguous row shards, one
 per CPU the process may use (`taskset -c 0` gives the one-shard pass); see
 _in_shards. During a sharded pass BLAS runs single-threaded, so BLAS calls
 made meanwhile by other threads of the process run single-threaded too, and
-a training step holds one extra gradient set per extra shard. backward runs
-each shard's rows in pieces whose caches fit _PASS_CACHE_BYTES, so its
-memory does not grow with the batch.
+a training step holds one extra gradient set per extra shard. Each shard
+runs its rows in pieces (_pieces): eval forward in pieces whose live arrays
+fit _BLOCK_BYTES, backward in pieces whose caches fit _PASS_CACHE_BYTES, so
+neither pass's memory grows with the batch.
 Default dtype is float64 so finite-difference gradient checks are
 meaningful; a float32 model computes in float32 (scalar constants are
 Python floats, which never promote an array). float32 GELU takes its erf
@@ -408,30 +407,6 @@ def _dropout_keep(dtype, rate, drawn, packing: _Packing, queries=None) -> np.nda
     return kept.astype(dtype) / (1.0 - rate)
 
 
-# Bytes of the largest block that a pass keeping no cache computes at once:
-# a row block of the feed-forward's (rows, ffn_dim) arrays, or a chunk of
-# whole sequences of one length group's (G, h, m, n) attention scores (see
-# _blocks). The desk model (d=256, f=1024, float32) takes 1024 feed-forward
-# rows and one 512-token sequence per block; every LIME and IG endpoint pass
-# of the explain benchmark fits in one block. On the evaluate benchmark
-# (2 vCPUs, 10 s runs) 1 and 2 MiB gave the same peak RSS as 4 MiB, and 8 MiB 14 MB
-# more.
-_BLOCK_BYTES = 4 << 20
-
-
-def _blocks(count: int, item_bytes: int, whole: bool) -> list[slice]:
-    """`count` items (rows or sequences) of `item_bytes` each, cut into
-    contiguous blocks of near-equal size, each of at most _BLOCK_BYTES and
-    at least one item; one block of all of them when `whole`, as for a pass
-    that keeps its cache, which keeps every block anyway. Near-equal blocks
-    leave no sliver of a few rows, whose products BLAS may round
-    differently."""
-    per_block = count if whole else max(1, _BLOCK_BYTES // item_bytes)
-    blocks = -(-count // per_block)
-    size = -(-count // blocks)
-    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
-
-
 # ------------------------------------------------------------------ shards
 
 # The (get, set) thread-count exports of one OpenBLAS build, under the names
@@ -574,18 +549,26 @@ def _in_shards(mask: np.ndarray, run: Callable[[slice], object]) -> list:
 # 0.40 s on 2 vCPUs.
 _PASS_CACHE_BYTES = 16 << 20
 
+# Bytes of live arrays that one piece of an eval-mode forward may hold, as
+# counted by _eval_bytes_per_row. The desk model (d=256, f=1024, float32)
+# runs a 512-token row alone and about two rows of 128 tokens together;
+# every LIME sample and IG endpoint pass of the explain benchmark is one
+# piece. On the evaluate benchmark (seed 41, 2 vCPUs, 10 s runs) pieces of
+# 1, 2, 4 and 8 MiB peaked at 113-114 MB RSS, and 16 MiB at 119 MB.
+_BLOCK_BYTES = 4 << 20
 
-def _pieces(row_bytes: np.ndarray) -> list[slice]:
-    """Contiguous pieces of rows, in order, each taking as many rows as fit
-    their summed `row_bytes` in _PASS_CACHE_BYTES; a row over it runs
-    alone."""
-    bounds, held = [0], 0
-    for row, size in enumerate(row_bytes.tolist()):
-        if held + size > _PASS_CACHE_BYTES and row > bounds[-1]:
+
+def _pieces(row_bytes: np.ndarray, rows: slice, budget: int) -> list[slice]:
+    """The rows `rows` cut into contiguous pieces, in order, each taking as
+    many rows as fit their summed `row_bytes` (one entry per row of the
+    batch) in `budget`; a row over it runs alone."""
+    bounds, held = [rows.start], 0
+    for row, size in enumerate(row_bytes[rows].tolist(), rows.start):
+        if held + size > budget and row > bounds[-1]:
             bounds.append(row)
             held = 0
         held += size
-    bounds.append(len(row_bytes))
+    bounds.append(rows.stop)
     return [slice(a, b) for a, b in itertools.pairwise(bounds)]
 
 
@@ -642,23 +625,33 @@ def forward(
     """Logits and probabilities for a batch of token sequences, run at the
     batch's longest real length (see batch_arrays).
 
-    Only a train-mode pass keeps the backward cache; in eval mode `.cache`
-    is None, each array is dropped once its next step has read it, and
-    attention and the feed-forward run in blocks of at most _BLOCK_BYTES.
-    An eval-mode pass runs in row shards (_in_shards); a train-mode pass
-    runs whole.
+    Only a train-mode pass keeps the backward cache, and it runs whole. An
+    eval-mode pass has `.cache` None and drops each array once its next
+    step has read it. It runs in row shards (_in_shards), and each shard
+    runs its rows in pieces whose live arrays fit _BLOCK_BYTES (_pieces,
+    sized by _eval_bytes_per_row at each row's real length), one after
+    another, so its memory does not grow with the batch.
     """
     ids, mask = batch_arrays(batch)
+    cfg = params.config
     if train_mode:
-        keeps = _dropout_masks(params.config, mask.shape, rng)
+        keeps = _dropout_masks(cfg, mask.shape, rng)
         return _run_encoder(params, ids, mask, keeps, cache={})
-    return _joined(_in_shards(
-        mask, lambda rows: _run_encoder(params, ids[rows], mask[rows], None, None)
-    ))
+    row_bytes = _eval_bytes_per_row(
+        cfg, (mask != 0.0).sum(axis=1), params.tensors["token_embedding"].dtype
+    )
+
+    def shard(rows: slice) -> list[ForwardOutput]:
+        return [
+            _run_encoder(params, ids[piece], mask[piece], None, None)
+            for piece in _pieces(row_bytes, rows, _BLOCK_BYTES)
+        ]
+
+    return _joined([out for outs in _in_shards(mask, shard) for out in outs])
 
 
 def _joined(outs: list[ForwardOutput]) -> ForwardOutput:
-    """The cache-free output of a batch from those of its row shards."""
+    """The cache-free output of a batch from those of its pieces."""
     if len(outs) == 1:
         return outs[0]
     return ForwardOutput(
@@ -703,6 +696,17 @@ def _cache_bytes_per_row(config: ModelConfig, length, dtype):
         # over all n rows of each layer but the last, and at its [CLS]
         elements += d * n + 2 * d * ((layers - 1) * n + 1 if layers else 0)
     return elements * np.dtype(dtype).itemsize
+
+
+def _eval_bytes_per_row(config: ModelConfig, length, dtype):
+    """Bytes of the arrays that an eval-mode pass of `config` holds at once
+    per row of `length` real positions (an int, or an array of one per
+    row), in `dtype`: the layer input, Q, K, V and the merged heads, the
+    feed-forward input and GELU term, and the attention scores. Attention
+    and the feed-forward do not run together, so this bounds either one's
+    peak; the float32 erf's few scratch blocks (see gelu_phi) come on top."""
+    d, f, h, n = config.hidden_dim, config.ffn_dim, config.num_heads, length
+    return (5 * n * d + 2 * n * f + h * n * n) * np.dtype(dtype).itemsize
 
 
 def _run_encoder(params, inputs, mask, keeps, cache: dict | None) -> ForwardOutput:
@@ -781,32 +785,25 @@ def _unheads(m, rows, out: np.ndarray) -> None:
         out[rows] = m.transpose(0, 2, 1, 3).reshape(g * n, h * hd)
 
 
-def _part(rows, start: int, stop: int):
-    """Entries start:stop of `rows`, a slice (which stays a slice, so the
-    part indexes a view) or an index array."""
-    if isinstance(rows, slice):
-        return slice(rows.start + start, rows.start + stop)
-    return rows[start:stop]
-
-
 def _query_groups(packing: _Packing, queries):
-    """Per length group, (n, g, rows, m, q_rows): its g sequences of n
-    positions, their packed rows, sequence after sequence, and where their m
-    query positions per sequence sit among the query rows. rows is the index
-    of packing.groups, or a slice of every packed row for the single group
-    of a batch whose sequences are all equally long. Without `queries` every
+    """Per length group, (n, rows, m, q_rows): its sequences of n positions,
+    their packed rows, sequence after sequence, and where their m query
+    positions per sequence sit among the query rows. rows is the index of
+    packing.groups, or a slice of every packed row for the single group of
+    a batch whose sequences are all equally long. Without `queries` every
     position queries (m = n, q_rows = rows); with them (the [CLS] rows, in
     packed order) only each sequence's first (m = 1), and q_rows index
     `queries`."""
     for n, rows in packing.groups:
         whole = rows is None
-        g = (packing.size if whole else len(rows)) // n
         if whole:
             rows = slice(0, packing.size)
         if queries is None:
-            yield n, g, rows, n, rows
+            yield n, rows, n, rows
+        elif whole:
+            yield n, rows, 1, slice(0, packing.size // n)
         else:
-            yield n, g, rows, 1, slice(0, g) if whole else np.searchsorted(queries, rows[::n])
+            yield n, rows, 1, np.searchsorted(queries, rows[::n])
 
 
 def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | None):
@@ -815,21 +812,16 @@ def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | 
     q holds the rows `queries` (None: every row), and so does the merged
     context returned (zero on rows outside every group). The probabilities
     of each group, (G, h, m, n) for m query positions per sequence, are
-    appended to `probs_cache` unless it is None; without it, each group
-    runs in chunks of whole sequences whose scores take at most
-    _BLOCK_BYTES (see _blocks)."""
+    appended to `probs_cache` unless it is None."""
     merged = np.zeros(q.shape, dtype=q.dtype)  # C order: _unheads writes through a reshape
     root_d = math.sqrt(q.shape[1] // h)
-    for n, g, rows, m, q_rows in _query_groups(packing, queries):
-        for seqs in _blocks(g, h * m * n * q.itemsize, probs_cache is not None):
-            kv = _part(rows, seqs.start * n, seqs.stop * n)
-            qs = _part(q_rows, seqs.start * m, seqs.stop * m)
-            scores = _heads(q, qs, m, h) @ _heads(k, kv, n, h).transpose(0, 1, 3, 2)
-            scores /= root_d
-            probs = _softmax_in_place(scores)
-            _unheads(probs @ _heads(v, kv, n, h), qs, merged)
-            if probs_cache is not None:
-                probs_cache.append(probs)
+    for n, rows, m, q_rows in _query_groups(packing, queries):
+        scores = _heads(q, q_rows, m, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
+        scores /= root_d
+        probs = _softmax_in_place(scores)
+        _unheads(probs @ _heads(v, rows, n, h), q_rows, merged)
+        if probs_cache is not None:
+            probs_cache.append(probs)
     return merged
 
 
@@ -838,7 +830,7 @@ def _attention_backward(d_merged, q, k, v, packing: _Packing, queries, h: int, p
     dq, dk, dv = (np.zeros(m.shape, dtype=m.dtype) for m in (q, k, v))
     scale = 1.0 / math.sqrt(q.shape[1] // h)
     groups = _query_groups(packing, queries)
-    for (n, _, rows, m, q_rows), probs in zip(groups, probs_cache, strict=True):
+    for (n, rows, m, q_rows), probs in zip(groups, probs_cache, strict=True):
         d_ctx = _heads(d_merged, q_rows, m, h)
         qh = _heads(q, q_rows, m, h)
         kh, vh = (_heads(a, rows, n, h) for a in (k, v))
@@ -858,11 +850,13 @@ def _encoder_layer(p, pre, x, packing, queries, cfg, drawn, layers: list | None)
     the attention and feed-forward outputs; the layer's backward cache is
     appended to `layers` unless it is None. Without a cache, Q, K and V are
     dropped once attention has read them, the merged heads once projected
-    and the attention output once added to its residual."""
+    and the attention output once added to its residual. The key bias is
+    not added: it shifts each query's scores by one constant, which softmax
+    ignores, so it has no effect on any output."""
     lc: dict = {"x_in": x}
     xq = x if queries is None else x[queries]
     q = _linear(xq, p, pre + "attn_q")
-    k = _linear(x, p, pre + "attn_k")
+    k = x @ p[pre + "attn_k.weight"]
     v = _linear(x, p, pre + "attn_v")
 
     probs = None if layers is None else []
@@ -897,27 +891,22 @@ def _encoder_layer(p, pre, x, packing, queries, cfg, drawn, layers: list | None)
 
 def _feed_forward(p, pre, h1, keep, lc: dict | None) -> np.ndarray:
     """h1 plus the feed-forward output, scaled by the dropout factor `keep`
-    (None: no dropout), in a new array. Without a cache (lc None) it runs in
-    row blocks of h1 whose (rows, ffn_dim) arrays take at most _BLOCK_BYTES,
-    each block's dropped before the next; with one it runs one block and
-    stores its input and GELU term in lc."""
-    out = np.empty_like(h1)
-    row_bytes = p[pre + "ffn_in.weight"].shape[1] * h1.itemsize
-    for rows in _blocks(len(h1), row_bytes, lc is not None):
-        ffn_pre = _linear(h1[rows], p, pre + "ffn_in")
-        if lc is None:
-            act = gelu(ffn_pre)
-        else:  # kept for the backward
-            lc["ffn_pre"], lc["ffn_phi"] = ffn_pre, gelu_phi(ffn_pre)
-            act = gelu(ffn_pre, lc["ffn_phi"])
-        del ffn_pre
-        y = np.matmul(act, p[pre + "ffn_out.weight"], out=out[rows])
-        del act
-        y += p[pre + "ffn_out.bias"]
-        if keep is not None:
-            y *= keep[rows]
-        y += h1[rows]
-    return out
+    (None: no dropout), in a new array. With a cache (lc) it stores its
+    input and GELU term there; without one each is dropped once read."""
+    ffn_pre = _linear(h1, p, pre + "ffn_in")
+    if lc is None:
+        act = gelu(ffn_pre)
+    else:  # kept for the backward
+        lc["ffn_pre"], lc["ffn_phi"] = ffn_pre, gelu_phi(ffn_pre)
+        act = gelu(ffn_pre, lc["ffn_phi"])
+    del ffn_pre
+    y = act @ p[pre + "ffn_out.weight"]
+    del act
+    y += p[pre + "ffn_out.bias"]
+    if keep is not None:
+        y *= keep
+    y += h1
+    return y
 
 
 def _label_array(labels: Sequence[int], rows: int, classes: int) -> np.ndarray:
@@ -977,8 +966,7 @@ def backward(
         """(outputs, gradient set, (packed ids, embedding gradient) per
         piece) of the shard `rows`."""
         outs, grads, embed_grads = [], {}, []
-        for part in _pieces(row_bytes[rows]):
-            piece = slice(rows.start + part.start, rows.start + part.stop)
+        for piece in _pieces(row_bytes, rows, _PASS_CACHE_BYTES):
             cache: dict = {}
             piece_keeps = None if keeps is None else [k[piece] for k in keeps]
             out = _run_encoder(params, ids[piece], mask[piece], piece_keeps, cache)
@@ -1107,7 +1095,9 @@ def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndar
         if grads is not None:
             for dname, dm, src in (("attn_q", dq, xq), ("attn_k", dk, x_in), ("attn_v", dv, x_in)):
                 _accumulate(grads, pre + dname + ".weight", src.T @ dm)
-                _accumulate(grads, pre + dname + ".bias", dm.sum(axis=0))
+                # the forward adds no key bias (see _encoder_layer)
+                bias = np.zeros(dm.shape[1], dm.dtype) if dname == "attn_k" else dm.sum(axis=0)
+                _accumulate(grads, pre + dname + ".bias", bias)
         d_xq += dq @ p[pre + "attn_q.weight"].T
         if queries is None:
             d_x = d_xq

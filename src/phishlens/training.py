@@ -250,6 +250,8 @@ def train(
             adamw_step(params.tensors, grads, state, cfg)
             loss_sum += loss * len(idx)
             correct += int((out.probabilities.argmax(axis=1) == labels).sum())
+            # one gradient set, not two, while the next backward runs
+            del out, grads
 
         if test_seqs:
             eval_loss, eval_preds = _evaluate_encoded(

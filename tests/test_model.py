@@ -17,6 +17,7 @@ from conftest import (
 )
 from phishlens import model as model_mod
 from phishlens.corpus import split
+from phishlens.intgrad import integrated_gradients, make_baseline
 from phishlens.model import (
     CheckpointError,
     ConfigError,
@@ -540,6 +541,108 @@ def test_eval_forward_peak_is_bounded_at_desk_shape(set_shards):
     assert peak < 75 * 2**20
 
 
+def test_eval_forward_peak_does_not_grow_with_the_batch(set_shards):
+    # one shard runs its rows in pieces of at most _BLOCK_BYTES of live
+    # arrays, so 48 rows of up to 512 tokens peak no higher than their first
+    # 16; the slack covers the larger batch's ids, mask and outputs
+    set_shards(1)
+    params = _desk_params(np.float32)
+    rng = np.random.default_rng(1)
+    lengths = [512, 512, 512, *rng.integers(64, 512, 45).tolist()]
+    batch = [make_seq([2, *rng.integers(5, 1000, n - 2).tolist(), 3], n, 512) for n in lengths]
+    small, large = (
+        _traced_peak(lambda rows=rows: forward(params, batch[:rows])) for rows in (16, 48)
+    )
+    assert large <= small + 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(("width", "ffn", "heads"), [(16, 64, 2), (64, 256, 4)])
+@pytest.mark.parametrize("length", [1, 7, 64, 200])
+def test_eval_bytes_per_row_bounds_the_peak_of_a_one_row_pass(
+    set_shards, dtype, width, ffn, heads, length
+):
+    # _eval_bytes_per_row sums what attention and the feed-forward hold,
+    # which never live together, so a one-row pass peaks between half of it
+    # and all of it, plus the float32 erf's three scratch blocks and the
+    # pass's small arrays (ids, mask, packing, logits), under 16 KiB
+    config = ModelConfig(
+        vocab_size=100, max_positions=length, hidden_dim=width, num_heads=heads,
+        num_layers=2, ffn_dim=ffn, dropout_rate=0.0,
+    )
+    params = init_parameters(config, seed=0, dtype=dtype)
+    rng = np.random.default_rng(1)
+    seq = make_seq([2, *rng.integers(5, 100, length - 1).tolist()], length, length)
+    set_shards(1)
+    forward(params, [seq])
+    peak = _traced_peak(lambda: forward(params, [seq]))
+    counted = model_mod._eval_bytes_per_row(config, length, dtype)
+    scratch = 3 * min(length * ffn, model_mod._ERF_BLOCK) * 4 if dtype == np.float32 else 0
+    assert counted / 2 <= peak <= counted + scratch + 128 * length + 16384
+    lengths = np.array([length, 2 * length])
+    assert list(model_mod._eval_bytes_per_row(config, lengths, dtype)) == [
+        counted, model_mod._eval_bytes_per_row(config, 2 * length, dtype)
+    ]
+
+
+def _with_key_bias(params, key_bias):
+    tensors = dict(params.tensors)
+    for i in range(params.config.num_layers):
+        name = f"layer{i}.attn_k.bias"
+        tensors[name] = key_bias(tensors[name])
+    return dataclasses.replace(params, tensors=tensors)
+
+
+def test_key_bias_changes_no_logit_gradient_or_attribution(toy_config, vocab):
+    cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.1)
+    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
+    rng = np.random.default_rng(3)
+    biased = _with_key_bias(params, lambda b: rng.normal(0.0, 2.0, b.shape))
+    unbiased = _with_key_bias(params, np.zeros_like)
+    batch = [make_seq([2, *rng.integers(5, 100, n - 1).tolist()], n, 12) for n in (12, 5, 9)]
+    labels = [1, 0, 1]
+    seq = encode("urgent winner claim your free prize now", vocab, 16)
+    baseline = make_baseline(seq, vocab)
+    results = []
+    for p in (biased, unbiased):
+        out, grads = backward(p, batch, labels, rng=np.random.default_rng(7))
+        results.append((
+            forward(p, batch).logits, out.logits, grads,
+            integrated_gradients(p, seq, baseline, target=1, steps=8),
+        ))
+    (logits_a, train_a, grads_a, ig_a), (logits_b, train_b, grads_b, ig_b) = results
+    np.testing.assert_array_equal(logits_a, logits_b)
+    np.testing.assert_array_equal(train_a, train_b)
+    for name in params.tensors:
+        np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
+    for i in range(cfg.num_layers):
+        assert not grads_a[f"layer{i}.attn_k.bias"].any()
+    np.testing.assert_array_equal(ig_a, ig_b)
+
+
+@pytest.mark.parametrize("seed", range(7, 13))
+@pytest.mark.parametrize("vocab_size", [120, 218])
+def test_key_bias_gradient_matches_finite_differences(vocab_size, seed):
+    # the key bias has no effect, so its central difference is exactly 0;
+    # criterion 4's check then holds whatever the rounding of the other sums
+    params = widen_parameters(init_parameters(ModelConfig.toy(vocab_size), seed=seed))
+    batch = toy_batch()
+    _, grads = backward(params, batch, LABELS)
+    bias = params.tensors["layer0.attn_k.bias"]
+    fd = np.zeros_like(bias)
+    for i in range(bias.size):
+        orig = bias[i]
+        bias[i] = orig + 1e-3
+        lp = cross_entropy_loss(forward(params, batch), LABELS)
+        bias[i] = orig - 1e-3
+        lm = cross_entropy_loss(forward(params, batch), LABELS)
+        bias[i] = orig
+        fd[i] = (lp - lm) / 2e-3
+    a = grads["layer0.attn_k.bias"]
+    rel = np.linalg.norm(a - fd) / max(np.linalg.norm(a), np.linalg.norm(fd), 1e-12)
+    assert rel < 1e-4, f"relative error {rel:.3e}"
+
+
 def test_backward_peak_is_bounded_by_the_pass_cache_budget(set_shards, monkeypatch):
     # 16 rows of 64 tokens keep 13 MiB of train-mode cache, 13 budgets of
     # 1 MiB: one pass over them all peaked at 27 MiB, one-row pieces peak at 5
@@ -560,24 +663,23 @@ def test_backward_peak_is_bounded_by_the_pass_cache_budget(set_shards, monkeypat
     assert peak < 12 * 2**20
 
 
-_BLOCKED_BATCHES = {
+_PIECED_BATCHES = {
     "ragged": (16, [12, 5, 12, 3, 5, 12]),
     "one length": (8, [8, 8, 8, 8]),
     "one row": (10, [9]),
 }
 
 
+@pytest.mark.parametrize("rows_per_piece", [1, 2])
+@pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("shape", sorted(_BLOCKED_BATCHES))
-def test_one_row_blocks_match_the_unblocked_pass(
-    toy_config, set_shards, monkeypatch, shape, dtype
+@pytest.mark.parametrize("shape", sorted(_PIECED_BATCHES))
+def test_eval_pieces_match_the_unpieced_pass(
+    toy_config, set_shards, monkeypatch, shape, dtype, shards, rows_per_piece
 ):
-    # a budget of one byte makes every feed-forward block one row and every
-    # attention chunk one sequence; the cache-keeping pass runs each whole.
-    # A one-row product runs as a matrix-vector product, whose float64 sums
-    # may round differently (up to 6e-16 on these logits); float32 agrees
-    # exactly here
-    width, lengths = _BLOCKED_BATCHES[shape]
+    # every row counts one byte, so a budget of n bytes takes n rows a
+    # piece; the cache-keeping pass from the embeddings runs the batch whole
+    width, lengths = _PIECED_BATCHES[shape]
     cfg = dataclasses.replace(toy_config, num_layers=2, max_positions=width)
     params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
     params = dataclasses.replace(
@@ -588,22 +690,24 @@ def test_one_row_blocks_match_the_unblocked_pass(
     ids, mask = batch_arrays(batch)
     whole = forward_from_embeddings(params, embed(params, ids), mask).logits
 
-    blocks = []
-    cut = model_mod._blocks
+    seen = []
+    run_encoder = model_mod._run_encoder
 
-    def recording(count, item_bytes, whole):
-        out = cut(count, item_bytes, whole)
-        blocks.append((count, len(out), whole))
-        return out
+    def recording(params, inputs, *args):
+        seen.append(len(inputs))
+        return run_encoder(params, inputs, *args)
 
-    monkeypatch.setattr(model_mod, "_blocks", recording)
-    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 1)
-    set_shards(1)
-    blocked = forward(params, batch).logits
-    assert blocks and all(n == count and not whole for count, n, whole in blocks)
-    assert max(n for _, n, _ in blocks) > 1
-    assert blocked.dtype == dtype
-    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+    monkeypatch.setattr(model_mod, "_run_encoder", recording)
+    monkeypatch.setattr(
+        model_mod, "_eval_bytes_per_row", lambda config, n, dtype: np.ones_like(n)
+    )
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", rows_per_piece)
+    set_shards(shards)
+    pieced = forward(params, batch).logits
+    assert sum(seen) == len(lengths)
+    assert max(seen) == min(rows_per_piece, len(lengths))
+    assert pieced.dtype == dtype
+    np.testing.assert_allclose(pieced, whole, rtol=0, atol=1e-12)
 
 
 def test_numpy_float_dropout_rate_saves_and_reloads_equal(tmp_path):

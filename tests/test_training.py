@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_corpus
+from phishlens import training
 from phishlens.corpus import SplitCorpus, split
 from phishlens.model import ModelConfig, init_parameters
 from phishlens.training import (
@@ -324,3 +326,33 @@ def test_adamw_bound_holds_on_real_toy_run(vocab):
                 delta = np.abs(theta - before[name])
                 cap = bound_scale + cfg.learning_rate * cfg.weight_decay * np.abs(before[name])
                 assert np.all(delta <= cap + 1e-12), name
+
+
+def test_training_holds_one_gradient_set_when_the_next_step_starts(vocab, monkeypatch):
+    # when each backward after the first starts, the previous step's
+    # gradients are gone: only the parameters, both moments and small
+    # arrays (the encoded records, the batch's output) are held. Holding
+    # one more gradient set adds the parameters' bytes again
+    _, parts, cfg = _toy_setup(96, seed=2)
+    cfg.epochs = 2
+    entries = []
+    step = training.backward
+
+    def recording(*args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "backward", recording)
+    tracemalloc.start()
+    try:
+        config = ModelConfig(
+            vocab_size=vocab.size, max_positions=16, hidden_dim=64,
+            num_heads=2, num_layers=2, ffn_dim=256, dropout_rate=0.0,
+        )
+        params = init_parameters(config, seed=1)
+        param_bytes = sum(t.nbytes for t in params.tensors.values())
+        train(params, parts, vocab, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) > 2
+    assert max(entries[1:]) < 3 * param_bytes + param_bytes // 2
