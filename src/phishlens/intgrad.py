@@ -8,15 +8,14 @@ the two embeddings, accumulated with a midpoint Riemann sum. Completeness
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .model import (
-    _PASS_CACHE_BYTES,
     ModelParameters,
-    _cache_bytes_per_row,
+    _rows_per_pass,
     batch_arrays,
     check_int_fields,
     embed,
@@ -119,8 +118,8 @@ def integrated_gradients(
 
     The path runs over the collated (trimmed) width; positions past the
     longest real token get exact zeros, since input and baseline agree there.
-    Each forward/backward pass takes as many path steps as keep a cache of
-    at most _PASS_CACHE_BYTES, and at least one.
+    Each forward/backward pass takes as many path steps as the model's
+    pass budget allows (_rows_per_pass), and at least one.
     """
     if len(input_seq.input_ids) != len(baseline_seq.input_ids):
         raise ValueError("input and baseline sequences differ in length")
@@ -129,10 +128,7 @@ def integrated_gradients(
     ids, mask = batch_arrays([input_seq, baseline_seq])
     e = embed(params, ids)
     grad_fn = _logit_grad_fn(params, mask[0], target)
-    # the path's passes drop nothing, whatever the model's dropout rate
-    no_dropout = replace(params.config, dropout_rate=0.0)
-    row_bytes = _cache_bytes_per_row(no_dropout, e.shape[1], e.dtype)
-    rows = max(1, _PASS_CACHE_BYTES // row_bytes)
+    rows = _rows_per_pass(params.config, e.shape[1], e.dtype)
     attribution = np.zeros((len(input_seq.input_ids), e.shape[2]), dtype=e.dtype)
     attribution[: e.shape[1]] = path_integrate(grad_fn, e[0], e[1], steps, rows)
     return attribution

@@ -17,9 +17,9 @@ per CPU the process may use (`taskset -c 0` gives the one-shard pass); see
 _in_shards. During a sharded pass BLAS runs single-threaded, so BLAS calls
 made meanwhile by other threads of the process run single-threaded too, and
 a training step holds one extra gradient set per extra shard. Each shard
-runs its rows in pieces (_pieces): eval forward in pieces whose live arrays
-fit _BLOCK_BYTES, backward in pieces whose caches fit _PASS_CACHE_BYTES, so
-neither pass's memory grows with the batch.
+runs its rows in pieces (_pieces) whose caches fit _PASS_CACHE_BYTES, as
+counted by _cache_bytes_per_row (an eval pass's as the dropout-free cache
+its rows would keep), so neither pass's memory grows with the batch.
 Default dtype is float64 so finite-difference gradient checks are
 meaningful; a float32 model computes in float32 (scalar constants are
 Python floats, which never promote an array). float32 GELU takes its erf
@@ -40,7 +40,7 @@ import os
 import struct
 import threading
 from concurrent import futures
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -509,67 +509,74 @@ def _shard_bounds(lengths: np.ndarray, shards: int) -> list[int]:
     return bounds
 
 
-def _in_shards(mask: np.ndarray, run: Callable[[slice], object]) -> list:
-    """run(rows) for each contiguous row shard of the (B, T) batch `mask`,
-    results in shard order. The batch splits into one shard per CPU, at most
-    one per row and one per _MIN_SHARD_TOKENS real tokens, balanced by real
-    tokens. Shard 0 runs on the calling thread and the others on a pool of
-    CPUs - 1 threads, while BLAS is held at one thread, so each shard runs
-    whole on its own core. With one CPU, one row, a short batch, or a BLAS
-    whose thread count cannot be set, this is run(slice(0, B)).
+def _in_shards(mask: np.ndarray, config: ModelConfig, dtype, run: Callable[[list], object]):
+    """run(pieces) for each contiguous row shard of the (B, T) batch `mask`,
+    results in shard order, `pieces` being the shard's rows cut by _pieces
+    under the cache that a pass of `config` in `dtype` keeps per row. The
+    batch splits into one shard per CPU, at most one per row and one per
+    _MIN_SHARD_TOKENS real tokens, balanced by real tokens. Shard 0 runs on
+    the calling thread and the others on a pool of CPUs - 1 threads, while
+    BLAS is held at one thread, so each shard runs whole on its own core.
+    With one CPU, one row, a short batch, or a BLAS whose thread count
+    cannot be set, the batch is one shard, run on the calling thread.
 
     `run` may call only private functions: perfbench's tracer wraps the
     public ones, and its span stack is not thread-safe."""
     rows, cpus = len(mask), _cpus()
     lengths = (mask != 0.0).sum(axis=1)
+    row_bytes = _cache_bytes_per_row(config, lengths, dtype)
     shards = min(cpus, rows, int(lengths.sum()) // _MIN_SHARD_TOKENS)
     if shards < 2 or not _blas_thread_controls():
-        return [run(slice(0, rows))]
+        return [run(_pieces(row_bytes, slice(0, rows)))]
     bounds = _shard_bounds(lengths, shards)
-    slices = [slice(a, b) for a, b in itertools.pairwise(bounds)]
+    pieces = [_pieces(row_bytes, slice(a, b)) for a, b in itertools.pairwise(bounds)]
     with _single_threaded_blas():
-        pending = [_pool(cpus - 1).submit(run, s) for s in slices[1:]]
+        pending = [_pool(cpus - 1).submit(run, p) for p in pieces[1:]]
         try:
-            first = run(slices[0])
+            first = run(pieces[0])
         finally:
             futures.wait(pending)
     return [first, *(f.result() for f in pending)]
 
 
-# Cache bytes that one pass keeping its cache may hold. IG sends
-# max(1, this // _cache_bytes_per_row) path steps through each pass, and
-# each shard of backward runs its rows in pieces that fit it (_pieces), so a
-# sharded training step holds at most _cpus() budgets of cache. IG on the
-# small float64 model (d=128, 2 layers) takes 96 rows per pass at 8 real
-# tokens and 12 at 64; training the desk model (d=256, 4 layers, float32,
-# dropout) takes one row of 128 tokens (8.0 MiB) or two shorter ones; a
-# 512-token row of the paper's model (185 MiB in IG, 201 MiB in training,
-# float32) runs alone. Half this budget, which runs nearly every desk-model
-# row alone, made the train benchmark's 16-row backward 0.49 s against
-# 0.40 s on 2 vCPUs.
+# Cache bytes, as counted by _cache_bytes_per_row, that the rows of one
+# pass may keep: each shard of eval forward and of backward runs its rows
+# in pieces that fit it (_pieces), so a sharded pass holds at most _cpus()
+# budgets, and IG sends _rows_per_pass path steps through each pass. An
+# eval pass keeps no cache; its rows are costed as the dropout-free cache
+# they would keep, and from 64 real tokens up a one-row eval pass peaks at
+# 0.26-1.6 times that count. IG on the small float64 model (d=128, 2
+# layers) takes 96 rows per pass at 8 real tokens and 12 at 64; training
+# the desk model (d=256, 4 layers, float32, dropout) takes one row of 128
+# tokens (8.0 MiB) or two shorter ones, and its eval pass runs every row of
+# 260 tokens or more alone; a 512-token row of the paper's model (185 MiB
+# in IG, 201 MiB in training, float32) runs alone. Half this budget, which
+# runs nearly every desk-model row alone, made the train benchmark's 16-row
+# backward 0.49 s against 0.40 s on 2 vCPUs.
 _PASS_CACHE_BYTES = 16 << 20
 
-# Bytes of live arrays that one piece of an eval-mode forward may hold, as
-# counted by _eval_bytes_per_row. The desk model (d=256, f=1024, float32)
-# runs a 512-token row alone and about two rows of 128 tokens together;
-# every LIME sample and IG endpoint pass of the explain benchmark is one
-# piece. On the evaluate benchmark (seed 41, 2 vCPUs, 10 s runs) pieces of
-# 1, 2, 4 and 8 MiB peaked at 113-114 MB RSS, and 16 MiB at 119 MB.
-_BLOCK_BYTES = 4 << 20
 
-
-def _pieces(row_bytes: np.ndarray, rows: slice, budget: int) -> list[slice]:
+def _pieces(row_bytes: np.ndarray, rows: slice) -> list[slice]:
     """The rows `rows` cut into contiguous pieces, in order, each taking as
     many rows as fit their summed `row_bytes` (one entry per row of the
-    batch) in `budget`; a row over it runs alone."""
+    batch) in _PASS_CACHE_BYTES; a row over it runs alone."""
     bounds, held = [rows.start], 0
     for row, size in enumerate(row_bytes[rows].tolist(), rows.start):
-        if held + size > budget and row > bounds[-1]:
+        if held + size > _PASS_CACHE_BYTES and row > bounds[-1]:
             bounds.append(row)
             held = 0
         held += size
     bounds.append(rows.stop)
     return [slice(a, b) for a, b in itertools.pairwise(bounds)]
+
+
+def _rows_per_pass(config: ModelConfig, length: int, dtype) -> int:
+    """How many rows of `length` real positions one forward_from_embeddings
+    pass takes under _PASS_CACHE_BYTES, at least one: the path steps per
+    pass of integrated gradients. That pass drops nothing, so its cache is
+    that of `config` with dropout_rate 0."""
+    row_bytes = _cache_bytes_per_row(replace(config, dropout_rate=0.0), length, dtype)
+    return max(1, _PASS_CACHE_BYTES // row_bytes)
 
 
 # ------------------------------------------------------------------ forward
@@ -628,26 +635,21 @@ def forward(
     Only a train-mode pass keeps the backward cache, and it runs whole. An
     eval-mode pass has `.cache` None and drops each array once its next
     step has read it. It runs in row shards (_in_shards), and each shard
-    runs its rows in pieces whose live arrays fit _BLOCK_BYTES (_pieces,
-    sized by _eval_bytes_per_row at each row's real length), one after
-    another, so its memory does not grow with the batch.
+    runs its rows one piece after another, each piece's rows keeping at
+    most _PASS_CACHE_BYTES of the dropout-free cache a pass from the
+    embeddings would keep (_cache_bytes_per_row), so its memory does not
+    grow with the batch.
     """
     ids, mask = batch_arrays(batch)
     cfg = params.config
     if train_mode:
         keeps = _dropout_masks(cfg, mask.shape, rng)
         return _run_encoder(params, ids, mask, keeps, cache={})
-    row_bytes = _eval_bytes_per_row(
-        cfg, (mask != 0.0).sum(axis=1), params.tensors["token_embedding"].dtype
+    outs = _in_shards(
+        mask, replace(cfg, dropout_rate=0.0), params.tensors["token_embedding"].dtype,
+        lambda pieces: [_run_encoder(params, ids[p], mask[p], None, None) for p in pieces],
     )
-
-    def shard(rows: slice) -> list[ForwardOutput]:
-        return [
-            _run_encoder(params, ids[piece], mask[piece], None, None)
-            for piece in _pieces(row_bytes, rows, _BLOCK_BYTES)
-        ]
-
-    return _joined([out for outs in _in_shards(mask, shard) for out in outs])
+    return _joined([out for shard in outs for out in shard])
 
 
 def _joined(outs: list[ForwardOutput]) -> ForwardOutput:
@@ -696,17 +698,6 @@ def _cache_bytes_per_row(config: ModelConfig, length, dtype):
         # over all n rows of each layer but the last, and at its [CLS]
         elements += d * n + 2 * d * ((layers - 1) * n + 1 if layers else 0)
     return elements * np.dtype(dtype).itemsize
-
-
-def _eval_bytes_per_row(config: ModelConfig, length, dtype):
-    """Bytes of the arrays that an eval-mode pass of `config` holds at once
-    per row of `length` real positions (an int, or an array of one per
-    row), in `dtype`: the layer input, Q, K, V and the merged heads, the
-    feed-forward input and GELU term, and the attention scores. Attention
-    and the feed-forward do not run together, so this bounds either one's
-    peak; the float32 erf's few scratch blocks (see gelu_phi) come on top."""
-    d, f, h, n = config.hidden_dim, config.ffn_dim, config.num_heads, length
-    return (5 * n * d + 2 * n * f + h * n * n) * np.dtype(dtype).itemsize
 
 
 def _run_encoder(params, inputs, mask, keeps, cache: dict | None) -> ForwardOutput:
@@ -912,6 +903,9 @@ def _feed_forward(p, pre, h1, keep, lc: dict | None) -> np.ndarray:
 def _label_array(labels: Sequence[int], rows: int, classes: int) -> np.ndarray:
     if len(labels) != rows:
         raise ValueError(f"{len(labels)} labels for batch of {rows}")
+    # int64 conversion would truncate 0.7 to 0 and take True as 1
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in labels):
+        raise ValueError(f"labels must be integers, not floats or bools, got {labels}")
     labels_arr = np.asarray(labels, dtype=np.int64)
     if labels_arr.min() < 0 or labels_arr.max() >= classes:
         raise ValueError(f"labels must lie in [0, {classes}), got {labels}")
@@ -958,15 +952,12 @@ def backward(
     ids, mask = batch_arrays(batch)
     labels_arr = _label_array(labels, len(batch), cfg.num_classes)
     keeps = _dropout_masks(cfg, mask.shape, rng)
-    row_bytes = _cache_bytes_per_row(
-        cfg, (mask != 0.0).sum(axis=1), params.tensors["token_embedding"].dtype
-    )
 
-    def shard(rows: slice):
+    def shard(pieces: list[slice]):
         """(outputs, gradient set, (packed ids, embedding gradient) per
-        piece) of the shard `rows`."""
+        piece) of the shard cut into `pieces`."""
         outs, grads, embed_grads = [], {}, []
-        for piece in _pieces(row_bytes, rows, _PASS_CACHE_BYTES):
+        for piece in pieces:
             cache: dict = {}
             piece_keeps = None if keeps is None else [k[piece] for k in keeps]
             out = _run_encoder(params, ids[piece], mask[piece], piece_keeps, cache)
@@ -979,7 +970,7 @@ def backward(
             embed_grads.append((cache["packing"].gather(ids[piece]), d_embed))
         return outs, grads, embed_grads
 
-    shards = _in_shards(mask, shard)
+    shards = _in_shards(mask, cfg, params.tensors["token_embedding"].dtype, shard)
     outs, grads = [], {}
     token_grad = np.zeros_like(params.tensors["token_embedding"])
     while shards:  # each shard's gradients are dropped once added

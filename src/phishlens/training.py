@@ -39,6 +39,7 @@ class TrainConfig:
     def __post_init__(self):
         check_int_fields(self, {
             "train_batch_size": 1, "eval_batch_size": 1, "epochs": 0, "shuffle_seed": 0,
+            "max_len": 2,  # [CLS] and [SEP]
         })
         # nan fails every comparison, so each bound is written to hold for
         # the values it accepts

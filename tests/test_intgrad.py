@@ -5,6 +5,7 @@ import pytest
 
 import phishlens.intgrad as ig
 from conftest import DATA, make_seq, synthetic_corpus, widen_parameters
+from phishlens import model
 from phishlens.corpus import load_corpus
 from phishlens.intgrad import (
     IGConfig,
@@ -209,7 +210,7 @@ def pass_rows(monkeypatch):
 
     def set_(config, length, rows):
         budget = rows * _cache_bytes_per_row(config, length, np.float64)
-        monkeypatch.setattr(ig, "_PASS_CACHE_BYTES", budget)
+        monkeypatch.setattr(model, "_PASS_CACHE_BYTES", budget)
         seen.clear()
         return seen
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -523,10 +524,11 @@ def _desk_params(dtype):
 
 def test_eval_forward_peak_is_bounded_at_desk_shape(set_shards):
     # 16 rows of up to 512 tokens, three of them in one length group, one
-    # shard: the peak is about five (N, D) arrays (the layer input, Q, K, V
-    # and the merged heads) plus one attention block. The unblocked pass
-    # that kept each layer's arrays to its end peaked at 114 MiB on this
-    # batch, the blocked one at 36 MiB; the bound lies halfway.
+    # shard. Every row of 260 tokens or more would keep over 16 MiB of
+    # dropout-free cache (37.5 MiB at 512) and runs alone, and only the
+    # rows of 128 and 79 tokens share a piece: the pass peaks at 7.1 MiB.
+    # It peaked at 114 MiB when it ran the batch whole, each layer keeping
+    # its arrays to its end
     set_shards(1)
     params = _desk_params(np.float32)
     rng = np.random.default_rng(1)
@@ -538,13 +540,14 @@ def test_eval_forward_peak_is_bounded_at_desk_shape(set_shards):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 75 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_eval_forward_peak_does_not_grow_with_the_batch(set_shards):
-    # one shard runs its rows in pieces of at most _BLOCK_BYTES of live
-    # arrays, so 48 rows of up to 512 tokens peak no higher than their first
-    # 16; the slack covers the larger batch's ids, mask and outputs
+    # one shard runs its rows in pieces whose dropout-free cache fits
+    # _PASS_CACHE_BYTES, so 48 rows of up to 512 tokens peak no higher than
+    # their first 16; the slack covers the larger batch's ids, mask and
+    # outputs
     set_shards(1)
     params = _desk_params(np.float32)
     rng = np.random.default_rng(1)
@@ -556,19 +559,22 @@ def test_eval_forward_peak_does_not_grow_with_the_batch(set_shards):
     assert large <= small + 2**20
 
 
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(("width", "ffn", "heads"), [(16, 64, 2), (64, 256, 4)])
 @pytest.mark.parametrize("length", [1, 7, 64, 200])
-def test_eval_bytes_per_row_bounds_the_peak_of_a_one_row_pass(
-    set_shards, dtype, width, ffn, heads, length
+def test_cache_bytes_per_row_bounds_the_peak_of_a_one_row_eval_pass(
+    set_shards, num_layers, dtype, width, ffn, heads, length
 ):
-    # _eval_bytes_per_row sums what attention and the feed-forward hold,
-    # which never live together, so a one-row pass peaks between half of it
-    # and all of it, plus the float32 erf's three scratch blocks and the
-    # pass's small arrays (ids, mask, packing, logits), under 16 KiB
+    # an eval pass's pieces are sized by the dropout-free cache its rows
+    # would keep. It holds one layer's arrays at a time, so from 64 tokens
+    # up a one-row pass peaks at 0.26-1.6 times that count (the most with
+    # one layer, whose last layer computes only [CLS]); shorter rows peak at
+    # the pass's fixed small arrays (ids, mask, packing, logits, under 16
+    # KiB) and at the float32 erf's three scratch blocks
     config = ModelConfig(
         vocab_size=100, max_positions=length, hidden_dim=width, num_heads=heads,
-        num_layers=2, ffn_dim=ffn, dropout_rate=0.0,
+        num_layers=num_layers, ffn_dim=ffn, dropout_rate=0.0,
     )
     params = init_parameters(config, seed=0, dtype=dtype)
     rng = np.random.default_rng(1)
@@ -576,12 +582,13 @@ def test_eval_bytes_per_row_bounds_the_peak_of_a_one_row_pass(
     set_shards(1)
     forward(params, [seq])
     peak = _traced_peak(lambda: forward(params, [seq]))
-    counted = model_mod._eval_bytes_per_row(config, length, dtype)
+    counted = model_mod._cache_bytes_per_row(config, length, dtype)
     scratch = 3 * min(length * ffn, model_mod._ERF_BLOCK) * 4 if dtype == np.float32 else 0
-    assert counted / 2 <= peak <= counted + scratch + 128 * length + 16384
+    assert peak <= 1.5 * counted + scratch + 128 * length + 16384
+    assert length < 64 or peak >= counted / 8
     lengths = np.array([length, 2 * length])
-    assert list(model_mod._eval_bytes_per_row(config, lengths, dtype)) == [
-        counted, model_mod._eval_bytes_per_row(config, 2 * length, dtype)
+    assert list(model_mod._cache_bytes_per_row(config, lengths, dtype)) == [
+        counted, model_mod._cache_bytes_per_row(config, 2 * length, dtype)
     ]
 
 
@@ -699,15 +706,65 @@ def test_eval_pieces_match_the_unpieced_pass(
 
     monkeypatch.setattr(model_mod, "_run_encoder", recording)
     monkeypatch.setattr(
-        model_mod, "_eval_bytes_per_row", lambda config, n, dtype: np.ones_like(n)
+        model_mod, "_cache_bytes_per_row", lambda config, n, dtype: np.ones_like(n)
     )
-    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", rows_per_piece)
+    monkeypatch.setattr(model_mod, "_PASS_CACHE_BYTES", rows_per_piece)
     set_shards(shards)
     pieced = forward(params, batch).logits
     assert sum(seen) == len(lengths)
     assert max(seen) == min(rows_per_piece, len(lengths))
     assert pieced.dtype == dtype
     np.testing.assert_allclose(pieced, whole, rtol=0, atol=1e-12)
+
+
+def test_one_budget_sizes_every_pass(toy_config, vocab, set_shards, monkeypatch):
+    # the rows of each _run_encoder call of eval forward, backward and IG's
+    # path passes follow model._PASS_CACHE_BYTES alone
+    cfg = dataclasses.replace(toy_config, num_layers=2)
+    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
+    rng = np.random.default_rng(2)
+    batch = [make_seq([2, *rng.integers(5, 100, 10).tolist(), 3], 12, 16) for _ in range(4)]
+    seq = encode("urgent winner claim your free prize now", vocab, 16)
+    seen = []
+    run_encoder = model_mod._run_encoder
+
+    def recording(params, inputs, *args, **kwargs):
+        seen.append(len(inputs))
+        return run_encoder(params, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_run_encoder", recording)
+    passes = {
+        "forward": lambda: forward(params, batch),
+        "backward": lambda: backward(params, batch, [0, 1, 0, 1]),
+        "ig": lambda: integrated_gradients(params, seq, make_baseline(seq, vocab), 1, steps=4),
+    }
+
+    def rows_per_call(budget):
+        monkeypatch.setattr(model_mod, "_PASS_CACHE_BYTES", budget)
+        calls = {}
+        for name, run in passes.items():
+            seen.clear()
+            run()
+            calls[name] = list(seen)
+        return calls
+
+    set_shards(1)
+    assert rows_per_call(16 << 20) == {"forward": [4], "backward": [4], "ig": [4]}
+    assert rows_per_call(1) == {"forward": [1] * 4, "backward": [1] * 4, "ig": [1] * 4}
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.9], [True, False], [0, True], np.array([1.0, 0.0])])
+def test_non_integer_labels_are_refused(toy_params, labels):
+    # int64 conversion would train on [0, 1] for [0.7, 1.9]
+    message = re.escape(f"labels must be integers, not floats or bools, got {labels}")
+    with pytest.raises(ValueError, match=message):
+        backward(toy_params, toy_batch(), labels)
+    out = forward(toy_params, toy_batch())
+    with pytest.raises(ValueError, match=message):
+        cross_entropy_loss(out, labels)
+    for integers in ([1, 0], np.array([1, 0]), [np.int32(1), np.uint8(0)]):
+        backward(toy_params, toy_batch(), integers)
+        assert cross_entropy_loss(out, integers) == cross_entropy_loss(out, LABELS)
 
 
 def test_numpy_float_dropout_rate_saves_and_reloads_equal(tmp_path):

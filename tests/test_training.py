@@ -127,6 +127,21 @@ def test_non_finite_or_negative_optimizer_floats_rejected(field, value, message)
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        (True, "max_len must be an integer, got True"),
+        (2.5, "max_len must be an integer, got 2.5"),
+        (1, "max_len must be at least 2, got 1"),
+    ],
+)
+def test_max_len_must_be_an_integer_of_at_least_two(value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(max_len=value)
+    cfg = TrainConfig(max_len=np.int64(128))
+    assert type(cfg.max_len) is int and cfg.max_len == 128
+
+
 def _textbook_adamw(tensors, grads, m, v, step, cfg):
     """The update of adamw_step, one whole-tensor expression at a time."""
     bc1, bc2 = 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step
