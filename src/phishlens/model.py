@@ -185,18 +185,63 @@ class ModelParameters:
 GradientSet = dict[str, np.ndarray]
 
 
+# Elements per block of the weight draws: a float64 block of 64K (512 KiB)
+# stays in cache, and no draw stages a whole tensor in float64.
+_DRAW_BLOCK = 1 << 16
+
+
 def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    # Redraw anything beyond two standard deviations (BERT-style init),
-    # found by two comparisons, which need no float copy of out.
-    out = rng.normal(0.0, std, size=shape)
-    while (bad := (out > 2.0 * std) | (out < -2.0 * std)).any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-    del bad
-    return out.astype(dtype)
+    """rng.normal(0, std, shape) with everything beyond two standard
+    deviations redrawn (BERT-style init), cast to dtype.
+
+    Draws go block by block (_DRAW_BLOCK) into a float64 scratch block, are
+    checked against the bound there, before the cast, and are then written
+    straight into the dtype array. Each redraw round draws for the indices
+    still out of range, in ascending order, so the values, their order in
+    the stream and the rng's final state are those of redrawing out[bad]
+    over the whole float64 tensor until no element is out of range."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    block = np.empty(min(flat.size, _DRAW_BLOCK))
+    limit = 2.0 * std
+
+    def draw(n: int) -> np.ndarray:
+        z = block[:n]
+        rng.standard_normal(out=z)
+        z *= std
+        z += 0.0  # rng.normal adds its loc 0.0, which turns a -0.0 into 0.0
+        return z
+
+    redraw = []
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        z = draw(min(_DRAW_BLOCK, flat.size - start))
+        flat[start : start + z.size] = z
+        redraw.append(start + np.flatnonzero(np.abs(z) > limit))
+    todo = np.concatenate(redraw)
+    while todo.size:
+        redraw = []
+        for start in range(0, todo.size, _DRAW_BLOCK):
+            at = todo[start : start + _DRAW_BLOCK]
+            z = draw(at.size)
+            flat[at] = z
+            redraw.append(at[np.abs(z) > limit])
+        todo = np.concatenate(redraw)
+    return out
 
 
 def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParameters:
-    """Truncated-normal weights (std 0.02), zero biases, unit layer-norm scales."""
+    """Truncated-normal weights (std 0.02), zero biases, unit layer-norm scales.
+
+    Every weight is drawn by _truncated_normal, in parameter_shapes order,
+    from one np.random.default_rng(seed): block by block, each value checked
+    in float64 before its cast to dtype, so no weight is ever held in
+    float64 whole and the stream is that of whole-tensor draws. dtype must
+    be float32 or float64, the two a checkpoint holds; a bool seed is
+    refused rather than taken as 0 or 1."""
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if np.dtype(dtype).str not in CHECKPOINT_DTYPES:
+        raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(config).items():

@@ -96,21 +96,61 @@ def test_init_truncation_and_constants(toy_params):
     assert np.all(toy_params.tensors["prehead.bias"] == 0.0)
 
 
+@pytest.mark.parametrize("vocab_size", [None, 100_000])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_init_draws_the_textbook_truncated_normal(toy_config, dtype):
+def test_init_draws_the_textbook_truncated_normal(toy_config, dtype, vocab_size):
     # each weight: std-0.02 normals, those beyond 2 std redrawn from the same
-    # rng until none is, in parameter_shapes order; the rest are constants
+    # rng until none is, in parameter_shapes order; the rest are constants.
+    # A 100,000-row token_embedding spans 25 draw blocks, and its first
+    # redraw round alone more than one.
+    config = toy_config
+    if vocab_size is not None:
+        config = dataclasses.replace(toy_config, vocab_size=vocab_size)
     rng = np.random.default_rng(11)
-    params = init_parameters(toy_config, seed=11, dtype=dtype)
-    for name, shape in model_mod.parameter_shapes(toy_config).items():
+    params = init_parameters(config, seed=11, dtype=dtype)
+    for name, shape in model_mod.parameter_shapes(config).items():
         if name.endswith((".scale", ".bias", ".shift")):
             continue
         expected = rng.normal(0.0, 0.02, size=shape)
+        redraws = []
         while (np.abs(expected) > 0.04).any():
             bad = np.abs(expected) > 0.04
-            expected[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+            redraws.append(int(bad.sum()))
+            expected[bad] = rng.normal(0.0, 0.02, size=redraws[-1])
+        if vocab_size and name == "token_embedding":
+            assert redraws[0] > model_mod._DRAW_BLOCK
         assert params.tensors[name].dtype == dtype
         np.testing.assert_array_equal(params.tensors[name], expected.astype(dtype), err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128])
+def test_init_refuses_a_dtype_a_checkpoint_cannot_hold(toy_config, dtype):
+    message = f"dtype must be float32 or float64, got {np.dtype(dtype)}"
+    with pytest.raises(ValueError, match=message):
+        init_parameters(toy_config, seed=0, dtype=dtype)
+
+
+@pytest.mark.parametrize("seed", [True, np.bool_(False)])
+def test_init_refuses_a_bool_seed(toy_config, seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        init_parameters(toy_config, seed=seed)
+
+
+def test_init_holds_no_float64_copy_of_a_float32_weight():
+    # token_embedding is 5 MiB of the 5.2 MiB of float32 parameters; drawing
+    # it through a whole float64 array would add 10 MiB
+    cfg = ModelConfig(
+        vocab_size=20_000, max_positions=32, hidden_dim=64, num_heads=2,
+        num_layers=1, ffn_dim=64,
+    )
+    tracemalloc.start()
+    try:
+        params = init_parameters(cfg, seed=0, dtype=np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(t.nbytes for t in params.tensors.values())
+    assert peak <= held + 2 * 2**20, (peak, held)
 
 
 def test_invalid_config_rejected():
