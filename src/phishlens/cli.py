@@ -133,12 +133,9 @@ def _model_config(config: dict, vocab: Vocabulary) -> ModelConfig:
 
 
 def _max_len(config: dict, model_cfg: ModelConfig) -> int:
-    """train.max_len from the config, else the model's max_positions."""
+    """train.max_len from the config, else the model's max_positions, checked by TrainConfig."""
     max_len = config.get("train", {}).get("max_len", model_cfg.max_positions)
-    if type(max_len) is not int or max_len < 2:  # room for [CLS] and [SEP]
-        raise UsageError(
-            f"config section 'train': max_len must be an int of at least 2, got {max_len!r}"
-        )
+    max_len = _from_section(TrainConfig, {}, "train", {"max_len": max_len}).max_len
     if max_len > model_cfg.max_positions:
         raise UsageError(
             f"train.max_len {max_len} exceeds the model's max_positions "

@@ -1,13 +1,14 @@
 """Email corpus loading, class balancing, and train/test splitting.
 
-Input format: comma-delimited text with a header row and double-quote
-quoting (email bodies span lines and contain commas). Label strings are
-matched case-insensitively after trimming; Safe=0, Phishing=1.
+Input format: UTF-8 (any byte-order mark skipped) comma-delimited text with a
+header row and double-quote quoting; bodies span lines, hold commas, have any
+length. Labels match case-insensitively after trimming; Safe=0, Phishing=1.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,8 +104,10 @@ def load_corpus(path: str) -> LabeledCorpus:
     """
     records: list[EmailRecord] = []
     dropped = 0
+    limit = csv.field_size_limit()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise EmptyCorpusError(f"{path}: empty file, no header row")
@@ -126,6 +129,8 @@ def load_corpus(path: str) -> LabeledCorpus:
                 records.append(EmailRecord(body=body, label=label))
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    finally:
+        csv.field_size_limit(limit)
     if not records:
         raise EmptyCorpusError(f"{path}: zero usable rows after cleaning")
     return LabeledCorpus.from_records(records, dropped_rows=dropped)

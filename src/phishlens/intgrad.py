@@ -17,7 +17,7 @@ from .model import (
     ModelParameters,
     _rows_per_pass,
     batch_arrays,
-    check_int_fields,
+    check_fields,
     embed,
     forward,
     forward_from_embeddings,
@@ -31,7 +31,7 @@ class IGConfig:
     steps: int = 64
 
     def __post_init__(self):
-        check_int_fields(self, {"steps": 1})
+        check_fields(self, {"steps": 1}, {})
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import LABEL_NAMES
-from .model import check_int_fields
+from .model import check_fields
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -47,17 +47,12 @@ class LimeConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
-        check_int_fields(self, {"num_features": 1, "num_samples": 1, "seed": 0})
-        # the kernel divides by width^2, which must neither underflow to 0 nor overflow
-        width = self.kernel_width
-        if not (width > 0 and 0.0 < width * width < math.inf):
-            raise ValueError(
-                f"kernel_width must be positive with a finite, positive square, got {width!r}"
-            )
-        if not (math.isfinite(self.ridge_alpha) and self.ridge_alpha >= 0):
-            raise ValueError(
-                f"ridge_alpha must be finite and non-negative, got {self.ridge_alpha!r}"
-            )
+        check_fields(self, {"num_features": 1, "num_samples": 1, "seed": 0}, {
+            # the kernel divides by width^2, which must neither underflow to 0 nor overflow
+            "kernel_width": ("be positive with a finite, positive square",
+                             lambda width: width > 0 and 0.0 < width * width < math.inf),
+            "ridge_alpha": ("be finite and non-negative", lambda x: 0.0 <= x < math.inf),
+        })
         if type(self.exhaustive) is not bool:
             raise ValueError(f"exhaustive must be true or false, got {self.exhaustive!r}")
 
@@ -182,9 +177,7 @@ def enumerate_perturbations(index: WordIndex) -> list[Perturbation]:
 
 
 def kernel_weight(distance: float, width: float) -> float:
-    """Locality kernel exp(-d^2 / width^2)."""
-    if width <= 0:
-        raise ValueError("kernel width must be positive")
+    """Locality kernel exp(-d^2 / width^2); LimeConfig checks the width."""
     return float(np.exp(-(distance**2) / width**2))
 
 

@@ -66,18 +66,32 @@ class StaleCacheError(ValueError):
     pass
 
 
-def check_int_fields(config, least: dict[str, int]) -> None:
-    """Raise ConfigError unless each field `name` of `config` is an integer
-    (not a bool) of at least `least[name]`. A numpy integer is stored back as
-    a Python int, so the config serializes to JSON (checkpoint headers)."""
-    for name, low in least.items():
+def check_fields(config, ints: dict[str, int], reals: dict[str, tuple]) -> None:
+    """The numeric check of every settings dataclass: each field of `ints` is
+    an integer of at least `ints[name]`, each of `reals`, `name: (rule,
+    test)`, a real number passing `test` (a comparison, which nan fails),
+    and neither is a bool (numpy's too). A value not yet a Python int (float)
+    is stored back as one, so configs serialize to JSON; one that is costs no
+    store (eval forward replaces dropout_rate per call). Raises ConfigError."""
+    for name, low in ints.items():
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
+            object.__setattr__(config, name, value)
         if value < low:
-            raise ConfigError(f"{name} must be at least {low}, got {value}")
-        if isinstance(value, np.integer):
-            object.__setattr__(config, name, int(value))  # also on frozen dataclasses
+            raise ConfigError(f"{name} must be at least {low}, got {value!r}")
+    for name, (rule, test) in reals.items():
+        value = getattr(config, name)
+        if type(value) is not float:
+            # numpy's bool is no numbers.Real, so only Python's needs naming
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
+            object.__setattr__(config, name, value)
+        if not test(value):
+            raise ConfigError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,17 +106,10 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        check_int_fields(self, {
+        check_fields(self, {
             "vocab_size": 1, "max_positions": 1, "hidden_dim": 1, "num_heads": 1,
             "num_layers": 0, "ffn_dim": 1, "num_classes": 1,
-        })
-        rate = self.dropout_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise ConfigError(f"dropout_rate must be a real number, got {rate!r}")
-        # a numpy float is stored as a Python float, which serializes to JSON
-        object.__setattr__(self, "dropout_rate", float(rate))
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        }, {"dropout_rate": ("lie in [0, 1)", lambda rate: 0.0 <= rate < 1.0)})
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"

@@ -8,7 +8,9 @@ scale proportional to |weight| / max|weight|. Reports are self-contained
 
 from __future__ import annotations
 
+import csv
 import html
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -205,6 +207,8 @@ def comparison_rows(
 
 
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    lines = ["word,lime_percent,ig_percent"]
-    lines.extend(f"{r.word},{r.lime_percent:.6f},{r.ig_percent:.6f}" for r in rows)
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["word", "lime_percent", "ig_percent"])
+    writer.writerows([r.word, f"{r.lime_percent:.6f}", f"{r.ig_percent:.6f}"] for r in rows)
+    return out.getvalue()

@@ -55,10 +55,10 @@ class TokenSequence:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    """One token per line; 0-based line number is the token id."""
+    """One UTF-8 token per line, after any byte-order mark; 0-based line number is the id."""
     tokens: list[str] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line in fh:
                 token = line.rstrip("\r\n")
                 if not token:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import LabeledCorpus, SplitCorpus
-from .model import ModelParameters, backward, check_int_fields, cross_entropy_loss, forward
+from .model import ModelParameters, backward, check_fields, cross_entropy_loss, forward
 from .tokenizer import TokenSequence, Vocabulary, encode
 
 
@@ -37,22 +37,15 @@ class TrainConfig:
     max_len: int = 512
 
     def __post_init__(self):
-        check_int_fields(self, {
+        positive = ("be finite and positive", lambda x: 0.0 < x < math.inf)
+        below_one = ("lie in [0, 1)", lambda beta: 0.0 <= beta < 1.0)
+        check_fields(self, {
             "train_batch_size": 1, "eval_batch_size": 1, "epochs": 0, "shuffle_seed": 0,
             "max_len": 2,  # [CLS] and [SEP]
+        }, {
+            "learning_rate": positive, "epsilon": positive, "beta1": below_one, "beta2": below_one,
+            "weight_decay": ("be finite and at least 0", lambda x: 0.0 <= x < math.inf),
         })
-        # nan fails every comparison, so each bound is written to hold for
-        # the values it accepts
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(
-                f"weight_decay must be finite and at least 0, got {self.weight_decay!r}"
-            )
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
 
 
 @dataclass

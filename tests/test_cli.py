@@ -748,6 +748,11 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("train", "train", {"epsilon": float("nan")}),
         ("train", "train", {"weight_decay": -1.0}),
         ("train", "train", {"weight_decay": float("nan")}),
+        ("train", "train", {"learning_rate": True}),  # was trained at 1.0
+        ("train", "train", {"beta1": False}),
+        ("train", "train", {"weight_decay": False}),
+        ("explain", "lime", {"ridge_alpha": False}),  # was an unregularized fit
+        ("explain", "lime", {"kernel_width": True}),
     ],
 )
 def test_rejected_config_section_is_usage_error(

@@ -1,4 +1,5 @@
 import collections
+import csv
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,21 @@ def test_load_whitespace_body_is_null(tmp_path):
     path = write_csv(tmp_path, ['"   ","Safe Email"', '"real","Safe Email"'])
     corpus = load_corpus(path)
     assert len(corpus) == 1 and corpus.dropped_rows == 1
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"  # as spreadsheet "CSV UTF-8" exports write it
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "fixture_emails.csv").read_bytes())
+    assert load_corpus(str(path)) == load_corpus(str(DATA / "fixture_emails.csv"))
+
+
+def test_load_reads_a_body_past_the_csv_field_limit(tmp_path):
+    body = "word " * 40_000  # 200,000 characters, past csv's default 131,072
+    path = write_csv(tmp_path, [f'"{body}","Phishing Email"', '"short","Safe Email"'])
+    limit = csv.field_size_limit()
+    corpus = load_corpus(path)
+    assert [rec.body for rec in corpus.records] == [body, "short"]
+    assert csv.field_size_limit() == limit  # restored after the read
 
 
 def test_load_fixture_file():

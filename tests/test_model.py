@@ -18,7 +18,8 @@ from conftest import (
 )
 from phishlens import model as model_mod
 from phishlens.corpus import split
-from phishlens.intgrad import integrated_gradients, make_baseline
+from phishlens.intgrad import IGConfig, integrated_gradients, make_baseline
+from phishlens.lime_text import LimeConfig
 from phishlens.model import (
     CheckpointError,
     ConfigError,
@@ -183,6 +184,21 @@ def test_invalid_config_rejected():
 def test_out_of_range_config_values_rejected(change, message):
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(ModelConfig.toy(), **change)
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, TrainConfig, LimeConfig, IGConfig])
+def test_every_numeric_config_field_refuses_bools_and_stores_numpy_scalars_as_python(cls):
+    valid = cls.toy() if cls is ModelConfig else cls()
+    numeric = [f for f in dataclasses.fields(cls) if f.type in (int, float, "int", "float")]
+    assert numeric
+    for f in numeric:
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match=f"^{f.name} must be "):
+                dataclasses.replace(valid, **{f.name: flag})
+        value = getattr(valid, f.name)
+        kind, scalar = (int, np.int64) if f.type in (int, "int") else (float, np.float32)
+        stored = getattr(dataclasses.replace(valid, **{f.name: scalar(value)}), f.name)
+        assert type(stored) is kind and stored == kind(scalar(value)), f.name
 
 
 def test_numpy_integer_config_saves_and_reloads_equal(tmp_path):

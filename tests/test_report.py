@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ def test_comparison_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "word,lime_percent,ig_percent"
     assert lines[1] == "free,60.000000,40.000000"
+
+
+def test_comparison_csv_quotes_punctuation_words():
+    lime = lime_exp([("pay", 0.5), ("now", -0.25)])
+    ig = ig_rec(["[CLS]", "pay", ",", "now", '"', "[SEP]"], [0.0, 0.4, 0.3, -0.2, 0.1, 0.0])
+    rows = comparison_rows(lime, ig)
+    assert {",", '"'} <= {r.word for r in rows}
+    text = comparison_csv(rows)
+    expected = [["word", "lime_percent", "ig_percent"]] + [
+        [r.word, f"{r.lime_percent:.6f}", f"{r.ig_percent:.6f}"] for r in rows
+    ]
+    assert list(csv.reader(text.splitlines(keepends=True))) == expected
 
 
 def test_html_has_green_and_red_spans():

@@ -46,6 +46,12 @@ def test_load_vocabulary_duplicate_token(tmp_path):
         load_vocabulary(str(path))
 
 
+def test_load_vocabulary_skips_a_byte_order_mark(vocab, tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(VOCAB_PATH).read_bytes())
+    assert load_vocabulary(str(path)) == vocab
+
+
 def test_load_vocabulary_ten_lines(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\naa\nbb\ncc\ndd\nee\n")

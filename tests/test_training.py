@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,13 @@ def test_config_validation():
 )
 def test_non_finite_or_negative_optimizer_floats_rejected(field, value, message):
     with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["beta1", "beta2"])
+@pytest.mark.parametrize("value", [1.0, -0.5, math.nan])
+def test_each_beta_is_named_when_out_of_range(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must lie in [0, 1), got {value!r}")):
         TrainConfig(**{field: value})
 
 
