@@ -103,13 +103,26 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     cfg = _read_json_object(path, "config")
-    for name in ("model", "train", "lime", "ig", "paths"):
+    sections = ("model", "train", "lime", "ig", "paths")
+    _refuse_unknown_keys(cfg, (*sections, "train_fraction", "dtype"), "config")
+    for name in sections:
         if not isinstance(cfg.get(name, {}), dict):
             raise UsageError(f"config section '{name}' must be a JSON object")
+    paths = cfg.get("paths", {})
+    _refuse_unknown_keys(paths, ("corpus", "vocab", "checkpoint"), "config section 'paths'")
+    for kind, value in paths.items():
+        if not isinstance(value, str):
+            raise UsageError(f"config section 'paths': {kind} must be a string, got {value!r}")
     fraction = cfg.get("train_fraction", 0.7)
     if not _is_fraction(fraction):
         raise UsageError(f"train_fraction must be a number in (0, 1], got {fraction!r}")
     return cfg
+
+
+def _refuse_unknown_keys(obj: dict, known: tuple, where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise UsageError(f"{where}: unknown key {key!r}; known keys: {', '.join(known)}")
 
 
 def _from_section(cls, config: dict, name: str, defaults=None, **overrides):
@@ -127,9 +140,20 @@ def _from_section(cls, config: dict, name: str, defaults=None, **overrides):
 
 def _model_config(config: dict, vocab: Vocabulary) -> ModelConfig:
     """The paper-scale preset, with any key of the model section overriding it."""
-    return _from_section(
+    model_cfg = _from_section(
         ModelConfig, config, "model", dataclasses.asdict(ModelConfig.paper_scale(vocab.size))
     )
+    _check_num_classes(model_cfg, "config section 'model'")
+    return model_cfg
+
+
+def _check_num_classes(model_cfg: ModelConfig, source: str) -> None:
+    """The corpus has the classes of LABEL_NAMES, so a model needs as many."""
+    if model_cfg.num_classes != len(LABEL_NAMES):
+        raise UsageError(
+            f"{source}: num_classes must be {len(LABEL_NAMES)} "
+            f"({' and '.join(LABEL_NAMES)}), got {model_cfg.num_classes}"
+        )
 
 
 def _max_len(config: dict, model_cfg: ModelConfig) -> int:
@@ -164,6 +188,7 @@ def _load_model(args: argparse.Namespace):
     vocab_path, checkpoint = _require(args, "vocab"), _require(args, "checkpoint")
     vocab = load_vocabulary(vocab_path)
     params, record = load_checkpoint(checkpoint)
+    _check_num_classes(params.config, checkpoint)
     for name, tensor in params.tensors.items():
         if not np.isfinite(tensor).all():
             raise UsageError(f"{checkpoint}: tensor {name} holds a non-finite value")

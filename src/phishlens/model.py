@@ -11,8 +11,9 @@ and values still cover all N rows, but queries, attention ((G, h, 1, L)
 probabilities), the output projection, the layer norms and the feed-forward
 run on the B [CLS] rows, and the result is the head's input. Passes from
 token ids embed the real positions alone. A pass that keeps no cache drops
-each array once its next step has read it.
-Eval-mode forward and backward run a batch as contiguous row shards, one
+each array once its next step has read it: forward, eval mode only, keeps
+none, backward consumes its own, and only forward_from_embeddings hands one
+out. forward and backward run a batch as contiguous row shards, one
 per CPU the process may use (`taskset -c 0` gives the one-shard pass); see
 _in_shards. During a sharded pass BLAS runs single-threaded, so BLAS calls
 made meanwhile by other threads of the process run single-threaded too, and
@@ -88,7 +89,10 @@ def check_fields(config, ints: dict[str, int], reals: dict[str, tuple]) -> None:
             # numpy's bool is no numbers.Real, so only Python's needs naming
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int past float's range breaks every rule
+                raise ConfigError(f"{name} must {rule}, got {value!r}") from None
             object.__setattr__(config, name, value)
         if not test(value):
             raise ConfigError(f"{name} must {rule}, got {value!r}")
@@ -638,7 +642,7 @@ def _rows_per_pass(config: ModelConfig, length: int, dtype) -> int:
 class ForwardOutput:
     logits: np.ndarray
     probabilities: np.ndarray
-    # backward cache: kept by train-mode forward() and by forward_from_embeddings()
+    # backward cache: kept by forward_from_embeddings() alone
     cache: dict | None = field(default=None, repr=False)
 
 
@@ -676,29 +680,24 @@ def embed(params: ModelParameters, ids: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    params: ModelParameters,
-    batch: Sequence[TokenSequence],
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    params: ModelParameters, batch: Sequence[TokenSequence], train_mode: bool = False
 ) -> ForwardOutput:
-    """Logits and probabilities for a batch of token sequences, run at the
-    batch's longest real length (see batch_arrays).
+    """Eval-mode logits and probabilities for a batch of token sequences,
+    run at the batch's longest real length (see batch_arrays); train_mode
+    True raises ValueError, as backward() runs the train-mode pass.
 
-    Only a train-mode pass keeps the backward cache, and it runs whole. An
-    eval-mode pass has `.cache` None and drops each array once its next
-    step has read it. It runs in row shards (_in_shards), and each shard
-    runs its rows one piece after another, each piece's rows keeping at
-    most _PASS_CACHE_BYTES of the dropout-free cache a pass from the
+    The output has `.cache` None, and the pass drops each array once its
+    next step has read it. It runs in row shards (_in_shards), and each
+    shard runs its rows one piece after another, each piece's rows keeping
+    at most _PASS_CACHE_BYTES of the dropout-free cache a pass from the
     embeddings would keep (_cache_bytes_per_row), so its memory does not
     grow with the batch.
     """
-    ids, mask = batch_arrays(batch)
-    cfg = params.config
     if train_mode:
-        keeps = _dropout_masks(cfg, mask.shape, rng)
-        return _run_encoder(params, ids, mask, keeps, cache={})
+        raise ValueError("forward() runs in eval mode only; backward() runs the train-mode pass")
+    ids, mask = batch_arrays(batch)
     outs = _in_shards(
-        mask, replace(cfg, dropout_rate=0.0), params.tensors["token_embedding"].dtype,
+        mask, replace(params.config, dropout_rate=0.0), params.tensors["token_embedding"].dtype,
         lambda pieces: [_run_encoder(params, ids[p], mask[p], None, None) for p in pieces],
     )
     return _joined([out for shard in outs for out in shard])
@@ -1233,7 +1232,9 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
 
     The tensor table must equal _layout of the header's config and of
     token_embedding's dtype, and the file must end after the last tensor,
-    which are read straight into their arrays. Round-trips save_checkpoint
+    which are read straight into their arrays. The file's size is checked
+    against the table before any array is allocated, and each read again,
+    as the file may change meanwhile. Round-trips save_checkpoint
     bit-exactly; a file saved without a record loads with {}.
     """
     with open(path, "rb") as fh:
@@ -1268,6 +1269,14 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
                 f"{path}: tensor {name} has table entry {table.get(name)}, "
                 f"but the config and dtype {dtype} imply {layout.get(name)}"
             )
+        # the file must hold the table before any of its arrays is allocated
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, entry in layout.items():
+            end = entry["offset"] + math.prod(entry["shape"]) * np.dtype(dtype).itemsize
+            if end > available:
+                raise CheckpointError(f"{path}: tensor {name} extends past end of file")
+        if available > end:
+            raise CheckpointError(f"{path}: file continues after the last tensor")
         tensors: dict[str, np.ndarray] = {}
         for name, entry in layout.items():
             tensors[name] = np.empty(entry["shape"], dtype=dtype)

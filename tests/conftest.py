@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import struct
@@ -87,6 +88,19 @@ def edit_checkpoint_header(src, dst, edit):
     edit(header)
     blob = json.dumps(header).encode("utf-8")
     Path(dst).write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
+
+
+def write_oversized_checkpoint(path):
+    """A checkpoint whose header is self-consistent but claims a vocabulary
+    of 10**9 tokens at width 768 in float32 (a 2.8 TiB token_embedding),
+    followed by 64 bytes of data."""
+    config = ModelConfig(
+        vocab_size=10**9, max_positions=8, hidden_dim=768, num_heads=12,
+        num_layers=0, ffn_dim=8,
+    )
+    header = {"config": dataclasses.asdict(config), "tensors": model._layout(config, "<f4")}
+    blob = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(model.MAGIC + struct.pack("<I", len(blob)) + blob + bytes(64))
 
 
 def make_seq(ids, n_real, max_len):

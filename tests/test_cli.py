@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import edit_checkpoint_header, synthetic_corpus
+from conftest import edit_checkpoint_header, synthetic_corpus, write_oversized_checkpoint
 from phishlens.cli import EXIT_OK, EXIT_USAGE, main
 from phishlens.corpus import LABEL_NAMES, EmailRecord
-from phishlens.model import load_checkpoint, save_checkpoint
+from phishlens.model import init_parameters, load_checkpoint, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "fixture_emails.csv")
@@ -565,8 +566,9 @@ def _extra_table_entry(header):
         (lambda p: edit_checkpoint_header(p, p, _extra_table_entry), "classifier.extra"),
         (lambda p: edit_checkpoint_header(p, p, lambda h: h["tensors"].pop("prehead.bias")),
          "prehead.bias"),
+        (write_oversized_checkpoint, "tensor token_embedding extends past end of file"),
     ],
-    ids=["truncated", "trailing-byte", "extra-entry", "missing-entry"],
+    ids=["truncated", "trailing-byte", "extra-entry", "missing-entry", "oversized-header"],
 )
 def test_checkpoint_of_wrong_extent_is_usage_error(trained, tmp_path, capsys, damage, named):
     bad = tmp_path / "model.phl"
@@ -593,6 +595,33 @@ def test_vocab_size_differs_from_checkpoint_is_usage_error(
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(size) in err and "218" in err
+
+
+@pytest.mark.parametrize("classes", [1, 3])
+def test_train_with_other_than_two_classes_is_usage_error(tmp_path, capsys, classes):
+    config = json.loads(Path(CONFIG).read_text())
+    config["model"]["num_classes"] = classes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    args = _command_args("train", None, str(cfg_path), tmp_path)
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config section 'model': num_classes must be 2" in err and f"got {classes}" in err
+    assert not (tmp_path / "model.phl").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_checkpoint_with_other_than_two_classes_is_usage_error(
+    trained, tmp_path, capsys, command
+):
+    params, record = load_checkpoint(str(trained / "model.phl"))
+    config = dataclasses.replace(params.config, num_classes=3)
+    save_checkpoint(init_parameters(config, seed=0), str(tmp_path / "model.phl"), record)
+    code = main(_inference_args(command, tmp_path, VOCAB, CONFIG, tmp_path / "out"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "model.phl") in err
+    assert "num_classes must be 2" in err and "got 3" in err
 
 
 def test_train_model_vocab_size_mismatch_is_usage_error(tmp_path, capsys):
@@ -753,6 +782,7 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("train", "train", {"weight_decay": False}),
         ("explain", "lime", {"ridge_alpha": False}),  # was an unregularized fit
         ("explain", "lime", {"kernel_width": True}),
+        ("train", "train", {"learning_rate": 10**400}),  # past float's range
     ],
 )
 def test_rejected_config_section_is_usage_error(
@@ -809,6 +839,13 @@ def test_singular_unregularized_lime_fit_is_usage_error(trained, tmp_path, capsy
         ("train", {"train_fraction": "x"}, "train_fraction must be a number in (0, 1]"),
         ("train", {"train_fraction": 0}, "train_fraction must be a number in (0, 1]"),
         ("evaluate", {"train_fraction": 1.5}, "train_fraction must be a number in (0, 1]"),
+        ("train", {"trian": {"epochs": 0}}, "config: unknown key 'trian'"),
+        ("evaluate", {"path": {"vocab": VOCAB}}, "config: unknown key 'path'"),
+        ("explain", {"paths": {"vocabulary": VOCAB}},
+         "config section 'paths': unknown key 'vocabulary'"),
+        ("train", {"paths": {"vocab": 5}}, "config section 'paths': vocab must be a string"),
+        ("compare", {"paths": {"checkpoint": None}},
+         "config section 'paths': checkpoint must be a string, got None"),
     ],
 )
 def test_malformed_config_file_is_usage_error(

@@ -15,6 +15,7 @@ from conftest import (
     synthetic_corpus,
     toy_batch,
     widen_parameters,
+    write_oversized_checkpoint,
 )
 from phishlens import model as model_mod
 from phishlens.corpus import split
@@ -64,6 +65,14 @@ def finite_difference_gradients(params, batch, labels, step=1e-3):
             out[i] = (lp - lm) / (2.0 * step)
         fd[name] = out.reshape(tensor.shape)
     return fd
+
+
+def _train_pass(params, batch, rng=None):
+    """The train-mode pass that backward runs on each piece, over the whole
+    batch: its dropout masks drawn from `rng`, its cache kept."""
+    ids, mask = batch_arrays(batch)
+    keeps = model_mod._dropout_masks(params.config, mask.shape, rng)
+    return model_mod._run_encoder(params, ids, mask, keeps, cache={})
 
 
 def test_toy_parameter_count_matches_hand_formula(toy_config):
@@ -201,6 +210,22 @@ def test_every_numeric_config_field_refuses_bools_and_stores_numpy_scalars_as_py
         assert type(stored) is kind and stored == kind(scalar(value)), f.name
 
 
+@pytest.mark.parametrize(
+    ("cls", "name", "rule"),
+    [
+        (TrainConfig, "learning_rate", "be finite and positive"),
+        (ModelConfig, "dropout_rate", r"lie in \[0, 1\)"),
+        (LimeConfig, "kernel_width", "be positive with a finite, positive square"),
+    ],
+    ids=["TrainConfig", "ModelConfig", "LimeConfig"],
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_past_float_range_breaks_the_field_rule(cls, name, rule, sign):
+    valid = cls.toy() if cls is ModelConfig else cls()
+    with pytest.raises(ConfigError, match=f"^{name} must {rule}, got {sign * 10**400}$"):
+        dataclasses.replace(valid, **{name: sign * 10**400})
+
+
 def test_numpy_integer_config_saves_and_reloads_equal(tmp_path):
     config = ModelConfig(
         vocab_size=np.int64(6), max_positions=np.int32(8), hidden_dim=4,
@@ -254,7 +279,7 @@ def test_cache_bytes_per_row_counts_what_forward_from_embeddings_keeps(
     rng = np.random.default_rng(1)
     if train_mode:  # a train-mode pass from token ids, with its dropout factors
         batch = [make_seq(rng.integers(5, 50, length), length, length) for _ in range(rows)]
-        out = forward(params, batch, train_mode=True, rng=rng)
+        out = _train_pass(params, batch, rng)
     else:
         embeddings = rng.normal(size=(rows, length, 8)).astype(dtype)
         out = forward_from_embeddings(params, embeddings, np.ones((rows, length), dtype))
@@ -300,7 +325,7 @@ def test_forward_rejects_overlong_sequence(toy_params):
 
 
 def test_attention_rows_normalized_and_masked_weights_zero(toy_params):
-    out = forward(toy_params, toy_batch(), train_mode=True)
+    out = _train_pass(toy_params, toy_batch())
     lengths = out.cache["mask"].sum(axis=1)
     groups = out.cache["packing"].groups
     layers = out.cache["layers"]
@@ -421,15 +446,15 @@ def test_dropout_active_only_in_train_mode(toy_config):
     eval_b = forward(params, batch, train_mode=False)
     np.testing.assert_array_equal(eval_a.logits, eval_b.logits)
     rng = np.random.default_rng(0)
-    train_a = forward(params, batch, train_mode=True, rng=rng)
-    train_b = forward(params, batch, train_mode=True, rng=rng)
+    train_a = _train_pass(params, batch, rng)
+    train_b = _train_pass(params, batch, rng)
     assert not np.array_equal(train_a.logits, train_b.logits)
 
 
 def test_dropout_without_rng_is_rejected(toy_config):
     params = init_parameters(dataclasses.replace(toy_config, dropout_rate=0.5), seed=3)
     with pytest.raises(ValueError, match="rng"):
-        forward(params, toy_batch(), train_mode=True)
+        _train_pass(params, toy_batch())
     with pytest.raises(ValueError, match="rng"):
         backward(params, toy_batch(), LABELS)
     forward(params, toy_batch())  # eval mode drops nothing and needs no rng
@@ -523,13 +548,21 @@ def _four_layer_params(max_positions=8):
 
 
 def test_only_differentiated_passes_keep_a_cache():
+    # of the public passes only forward_from_embeddings hands a cache out;
+    # backward consumes the one its private train-mode pass keeps
     params = _four_layer_params()
     batch = toy_batch()
     assert forward(params, batch).cache is None
+    assert backward(params, batch, LABELS)[0].cache is None
     ids, mask = batch_arrays(batch)
     from_embeddings = forward_from_embeddings(params, embed(params, ids), mask)
-    for out in (forward(params, batch, train_mode=True), from_embeddings):
+    for out in (_train_pass(params, batch), from_embeddings):
         assert len(out.cache["layers"]) == params.config.num_layers
+
+
+def test_train_mode_forward_names_backward(toy_params):
+    with pytest.raises(ValueError, match=r"backward\(\) runs the train-mode pass"):
+        forward(toy_params, toy_batch(), train_mode=True)
 
 
 def test_backward_output_matches_eval_forward_without_cache():
@@ -550,10 +583,10 @@ def test_eval_forward_holds_no_cache_memory():
     rng = np.random.default_rng(0)
     batch = [make_seq([2, *rng.integers(5, 60, 126).tolist(), 3], 128, 128) for _ in range(8)]
 
-    def traced(train_mode):
+    def traced(run_pass):
         tracemalloc.start()
         try:
-            out = forward(params, batch, train_mode=train_mode)
+            out = run_pass(params, batch)
             _, peak = tracemalloc.get_traced_memory()
             arrays = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
@@ -563,8 +596,8 @@ def test_eval_forward_holds_no_cache_memory():
         held = sum(stat.size for stat in arrays.statistics("filename"))
         return held - out.logits.nbytes - out.probabilities.nbytes, peak
 
-    eval_held, eval_peak = traced(False)
-    train_held, train_peak = traced(True)
+    eval_held, eval_peak = traced(forward)
+    train_held, train_peak = traced(_train_pass)
     assert eval_held == 0
     assert train_held > 10 * 2**20
     assert eval_peak < 0.5 * train_peak
@@ -1012,6 +1045,13 @@ def test_checkpoint_truncated_file_rejected(toy_params, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_checks_its_size_before_allocating_its_tensors(tmp_path):
+    path = tmp_path / "model.phl"
+    write_oversized_checkpoint(path)
+    with pytest.raises(CheckpointError, match="tensor token_embedding extends past end of file"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_header_longer_than_the_file_rejected(toy_params, tmp_path):
     path = tmp_path / "model.phl"
     save_checkpoint(toy_params, str(path))
@@ -1064,7 +1104,7 @@ def _arrays_in(node):
 def test_float32_model_computes_in_float32(toy_config):
     cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.1)
     params = widen_parameters(init_parameters(cfg, seed=4, dtype=np.float32), seed=5)
-    out = forward(params, toy_batch(), train_mode=True, rng=np.random.default_rng(0))
+    out = _train_pass(params, toy_batch(), np.random.default_rng(0))
     dtypes = {a.dtype for a in _arrays_in(out.cache)}
     assert dtypes == {np.dtype(np.float32)}
     _, grads = backward(params, toy_batch(), LABELS, rng=np.random.default_rng(0))
@@ -1239,7 +1279,7 @@ def test_train_cache_holds_real_positions_only(toy_config):
     params = init_parameters(cfg, seed=4)
     batch = _ragged_batch()
     n_real = sum(seq.real_length for seq in batch)  # 43 of 5 x 16 positions
-    out = forward(params, batch, train_mode=True, rng=np.random.default_rng(0))
+    out = _train_pass(params, batch, np.random.default_rng(0))
     cache = out.cache
     assert cache["embed_keep"].shape[0] == n_real
     assert cache["cls_vec"].shape[0] == len(batch)
@@ -1283,7 +1323,7 @@ def test_repeated_length_batch_gradients_equal_mean_of_single_rows(toy_params):
 
 def test_train_cache_holds_attention_of_real_positions_only(toy_params):
     batch = _repeated_length_batch()
-    out = forward(toy_params, batch, train_mode=True)
+    out = _train_pass(toy_params, batch)
     h = toy_params.config.num_heads
     lengths = [seq.real_length for seq in batch]
     layers = out.cache["layers"]
@@ -1382,7 +1422,7 @@ def _ragged_dropout_run(params, batch, labels, seed):
 
 
 def _last_layer_query_rows(params, batch):
-    out = forward(params, batch, train_mode=True, rng=np.random.default_rng(0))
+    out = _train_pass(params, batch, np.random.default_rng(0))
     return out.cache["layers"][-1]["q"].shape[0]
 
 

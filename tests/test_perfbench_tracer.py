@@ -53,7 +53,8 @@ def test_tracer_counts_the_trimmed_width_of_a_train_mode_pass(toy_params, monkey
     tracer.install(phishlens)
     try:
         tracer.enabled = True
-        model.forward(toy_params, toy_batch(max_len=16), train_mode=True)
+        ids, mask = model.batch_arrays(toy_batch(max_len=16))
+        intgrad.forward_from_embeddings(toy_params, model.embed(toy_params, ids), mask)
     finally:
         tracer.enabled = False
         tracer.uninstall()
