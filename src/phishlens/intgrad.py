@@ -144,7 +144,7 @@ def word_attributions(
     """Encode to max_len, predict, and attribute the predicted class per token."""
     seq = encode(text, vocab, max_len)
     baseline = make_baseline(seq, vocab)
-    out = forward(params, [seq, baseline], train_mode=False)
+    out = forward(params, [seq, baseline])
     predicted = int(out.probabilities[0].argmax())
     logit_gap = float(out.logits[0, predicted] - out.logits[1, predicted])
 

@@ -52,7 +52,7 @@ class LimeConfig:
             "kernel_width": ("be positive with a finite, positive square",
                              lambda width: width > 0 and 0.0 < width * width < math.inf),
             "ridge_alpha": ("be finite and non-negative", lambda x: 0.0 <= x < math.inf),
-        })
+        }, seeds=("seed",))
         if type(self.exhaustive) is not bool:
             raise ValueError(f"exhaustive must be true or false, got {self.exhaustive!r}")
 
@@ -61,7 +61,7 @@ class LimeConfig:
 class WordIndex:
     text: str
     distinct_words: tuple[str, ...]
-    occurrences: dict[str, tuple[tuple[int, int], ...]]
+    spans: tuple[tuple[int, int, int], ...]  # (start, end, word id) in text order
 
     def __len__(self) -> int:
         return len(self.distinct_words)
@@ -91,35 +91,23 @@ class LimeExplanation:
 
 
 def build_word_index(text: str) -> WordIndex:
-    """Distinct lowercased words and the spans where each occurs."""
-    words: list[str] = []
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for match in _WORD_RE.finditer(text):
-        word = match.group().lower()
-        if word not in occ:
-            occ[word] = []
-            words.append(word)
-        occ[word].append(match.span())
-    return WordIndex(
-        text=text,
-        distinct_words=tuple(words),
-        occurrences={w: tuple(spans) for w, spans in occ.items()},
+    """Distinct lowercased words, and every word's span with its word id."""
+    ids: dict[str, int] = {}
+    spans = tuple(
+        (*match.span(), ids.setdefault(match.group().lower(), len(ids)))
+        for match in _WORD_RE.finditer(text)
     )
+    return WordIndex(text=text, distinct_words=tuple(ids), spans=spans)
 
 
 def _remove_words(index: WordIndex, mask: np.ndarray) -> str:
-    spans = []
-    for i, word in enumerate(index.distinct_words):
-        if mask[i] == 0:
-            spans.extend(index.occurrences[word])
-    if not spans:
-        return index.text
-    spans.sort()
+    """The text without every occurrence of the words whose mask entry is 0."""
     parts = []
     cursor = 0
-    for start, end in spans:
-        parts.append(index.text[cursor:start])
-        cursor = end
+    for start, end, word_id in index.spans:
+        if mask[word_id] == 0:
+            parts.append(index.text[cursor:start])
+            cursor = end
     parts.append(index.text[cursor:])
     return "".join(parts)
 

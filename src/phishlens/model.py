@@ -67,13 +67,19 @@ class StaleCacheError(ValueError):
     pass
 
 
-def check_fields(config, ints: dict[str, int], reals: dict[str, tuple]) -> None:
+INT_LIMIT = 2**31  # a size or count this large is a mistake: its arrays cannot exist
+
+
+def check_fields(
+    config, ints: dict[str, int], reals: dict[str, tuple], seeds: tuple[str, ...] = ()
+) -> None:
     """The numeric check of every settings dataclass: each field of `ints` is
-    an integer of at least `ints[name]`, each of `reals`, `name: (rule,
-    test)`, a real number passing `test` (a comparison, which nan fails),
-    and neither is a bool (numpy's too). A value not yet a Python int (float)
-    is stored back as one, so configs serialize to JSON; one that is costs no
-    store (eval forward replaces dropout_rate per call). Raises ConfigError."""
+    an integer of at least `ints[name]` and, unless named in `seeds`, below
+    INT_LIMIT; each of `reals`, `name: (rule, test)`, a real number passing
+    `test` (a comparison, which nan fails), and neither is a bool (numpy's
+    too). A value not yet a Python int (float) is stored back as one, so
+    configs serialize to JSON; one that is costs no store (eval forward
+    replaces dropout_rate per call). Raises ConfigError."""
     for name, low in ints.items():
         value = getattr(config, name)
         if type(value) is not int:
@@ -83,6 +89,8 @@ def check_fields(config, ints: dict[str, int], reals: dict[str, tuple]) -> None:
             object.__setattr__(config, name, value)
         if value < low:
             raise ConfigError(f"{name} must be at least {low}, got {value!r}")
+        if value >= INT_LIMIT and name not in seeds:
+            raise ConfigError(f"{name} must be below {INT_LIMIT}, got {value!r}")
     for name, (rule, test) in reals.items():
         value = getattr(config, name)
         if type(value) is not float:
@@ -112,7 +120,7 @@ class ModelConfig:
     def __post_init__(self):
         check_fields(self, {
             "vocab_size": 1, "max_positions": 1, "hidden_dim": 1, "num_heads": 1,
-            "num_layers": 0, "ffn_dim": 1, "num_classes": 1,
+            "num_layers": 1, "ffn_dim": 1, "num_classes": 1,
         }, {"dropout_rate": ("lie in [0, 1)", lambda rate: 0.0 <= rate < 1.0)})
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
@@ -737,17 +745,16 @@ def _cache_bytes_per_row(config: ModelConfig, length, dtype):
     d, f, h, n = config.hidden_dim, config.ffn_dim, config.num_heads, length
     layers = config.num_layers
     elements = n + 3 * d  # mask; head: [CLS] vector, pre-ReLU, post-ReLU
-    if layers:
-        # all n rows: input, Q, K, V, merged heads, h1, two normalized
-        # inputs, FFN input and GELU term, two norm sigmas, probabilities
-        per_layer = n * (8 * d + 2 * f + 2 + h * n)
-        # the last layer: input, K, V over n rows; the rest at [CLS] alone
-        last = 3 * d * n + 5 * d + 2 * f + 2 + h * n
-        elements += (layers - 1) * per_layer + last
+    # all n rows: input, Q, K, V, merged heads, h1, two normalized inputs,
+    # FFN input and GELU term, two norm sigmas, probabilities
+    per_layer = n * (8 * d + 2 * f + 2 + h * n)
+    # the last layer: input, K, V over n rows; the rest at [CLS] alone
+    last = 3 * d * n + 5 * d + 2 * f + 2 + h * n
+    elements += (layers - 1) * per_layer + last
     if config.dropout_rate > 0.0:
         # the embeddings' factor; the attention and feed-forward factors
         # over all n rows of each layer but the last, and at its [CLS]
-        elements += d * n + 2 * d * ((layers - 1) * n + 1 if layers else 0)
+        elements += d * n + 2 * d * ((layers - 1) * n + 1)
     return elements * np.dtype(dtype).itemsize
 
 
@@ -775,7 +782,6 @@ def _run_encoder(params, inputs, mask, keeps, cache: dict | None) -> ForwardOutp
     if keeps is not None:
         embed_keep = _dropout_keep(x.dtype, cfg.dropout_rate, keeps[0], packing)
         x = x * embed_keep
-    queries = None
     for i in range(cfg.num_layers):
         queries = _query_rows(packing, i, cfg.num_layers)
         drawn = None if keeps is None else keeps[1 + 2 * i : 3 + 2 * i]
@@ -1075,9 +1081,9 @@ def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndar
     d_cls = d_pre_lin @ p["prehead.weight"].T
 
     # d_cls is the gradient of the last layer's output when that layer
-    # computed the [CLS] rows alone; otherwise (or with no layers) the head
-    # read those rows out of all N packed rows
-    last = _query_rows(packing, cfg.num_layers - 1, cfg.num_layers) if cfg.num_layers else None
+    # computed the [CLS] rows alone; otherwise the head read those rows out
+    # of all N packed rows
+    last = _query_rows(packing, cfg.num_layers - 1, cfg.num_layers)
     if last is None:
         dx = np.zeros((packing.size, d_cls.shape[1]), dtype=d_cls.dtype)
         dx[packing.cls_rows] = d_cls

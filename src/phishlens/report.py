@@ -85,17 +85,14 @@ def _highlight_words(text: str, weights: dict[str, float]) -> str:
     """Original text with each known word wrapped in a colored span."""
     index = build_word_index(text)
     max_abs = max((abs(w) for w in weights.values()), default=0.0)
-    spans = []
-    for word in index.distinct_words:
-        if word in weights:
-            spans.extend((s, e, weights[word]) for s, e in index.occurrences[word])
-    spans.sort()
     parts = []
     cursor = 0
-    for start, end, weight in spans:
-        parts.append(html.escape(text[cursor:start]))
-        parts.append(_span(text[start:end], weight, max_abs))
-        cursor = end
+    for start, end, word_id in index.spans:
+        word = index.distinct_words[word_id]
+        if word in weights:
+            parts.append(html.escape(text[cursor:start]))
+            parts.append(_span(text[start:end], weights[word], max_abs))
+            cursor = end
     parts.append(html.escape(text[cursor:]))
     return "".join(parts)
 
@@ -172,13 +169,9 @@ def merge_subword_scores(
         else:
             merged.append((token, score))
     joined: dict[str, float] = {}
-    order: list[str] = []
     for word, score in merged:
-        if word not in joined:
-            joined[word] = 0.0
-            order.append(word)
-        joined[word] += score
-    return [(w, joined[w]) for w in order]
+        joined[word] = joined.get(word, 0.0) + score
+    return list(joined.items())
 
 
 def _percents(pairs: Sequence[tuple[str, float]]) -> dict[str, float]:

@@ -45,7 +45,7 @@ class TrainConfig:
         }, {
             "learning_rate": positive, "epsilon": positive, "beta1": below_one, "beta2": below_one,
             "weight_decay": ("be finite and at least 0", lambda x: 0.0 <= x < math.inf),
-        })
+        }, seeds=("shuffle_seed",))
 
 
 @dataclass
@@ -180,7 +180,7 @@ def _evaluate_encoded(
     predictions: list[int] = []
     for idx in _batches(len(seqs), batch_size):
         batch = [seqs[i] for i in idx]
-        out = forward(params, batch, train_mode=False)
+        out = forward(params, batch)
         total_loss += cross_entropy_loss(out, labels[idx]) * len(idx)
         predictions.extend(int(p) for p in out.probabilities.argmax(axis=1))
     return total_loss / len(seqs), predictions

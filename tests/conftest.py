@@ -96,7 +96,7 @@ def write_oversized_checkpoint(path):
     followed by 64 bytes of data."""
     config = ModelConfig(
         vocab_size=10**9, max_positions=8, hidden_dim=768, num_heads=12,
-        num_layers=0, ffn_dim=8,
+        num_layers=1, ffn_dim=8,
     )
     header = {"config": dataclasses.asdict(config), "tensors": model._layout(config, "<f4")}
     blob = json.dumps(header).encode("utf-8")

@@ -783,6 +783,10 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("explain", "lime", {"ridge_alpha": False}),  # was an unregularized fit
         ("explain", "lime", {"kernel_width": True}),
         ("train", "train", {"learning_rate": 10**400}),  # past float's range
+        ("train", "model", {"num_layers": 0}),  # the head would see [CLS] alone
+        ("explain", "ig", {"steps": 10**400}),  # sizes that no array can have
+        ("explain", "lime", {"num_samples": 10**400}),
+        ("train", "model", {"ffn_dim": 10**400}),
     ],
 )
 def test_rejected_config_section_is_usage_error(

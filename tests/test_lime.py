@@ -43,7 +43,7 @@ def test_build_word_index_empty():
 def test_build_word_index_case_folds_to_one_feature():
     idx = build_word_index("free free FREE")
     assert idx.distinct_words == ("free",)
-    assert len(idx.occurrences["free"]) == 3
+    assert idx.spans == ((0, 4, 0), (5, 9, 0), (10, 14, 0))
 
 
 def test_mask_distance_hand_value():

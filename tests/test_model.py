@@ -178,7 +178,7 @@ def test_invalid_config_rejected():
         ({"num_heads": -2}, "num_heads must be at least 1, got -2"),
         ({"ffn_dim": -4}, "ffn_dim must be at least 1, got -4"),
         ({"num_classes": 0}, "num_classes must be at least 1, got 0"),
-        ({"num_layers": -1}, "num_layers must be at least 0, got -1"),
+        ({"num_layers": -1}, "num_layers must be at least 1, got -1"),
         ({"num_heads": 2.0}, "num_heads must be an integer, got 2.0"),
         ({"num_layers": 1.5}, "num_layers must be an integer, got 1.5"),
         ({"hidden_dim": True}, "hidden_dim must be an integer, got True"),
@@ -226,6 +226,19 @@ def test_an_int_past_float_range_breaks_the_field_rule(cls, name, rule, sign):
         dataclasses.replace(valid, **{name: sign * 10**400})
 
 
+@pytest.mark.parametrize("cls", [ModelConfig, TrainConfig, LimeConfig, IGConfig])
+def test_every_integer_config_field_but_seeds_stays_below_2_to_the_31(cls):
+    valid = cls.toy() if cls is ModelConfig else cls()
+    integers = [f.name for f in dataclasses.fields(cls) if f.type in (int, "int")]
+    assert integers
+    for name in integers:
+        if name.endswith("seed"):  # any integer seeds numpy's generator
+            assert getattr(dataclasses.replace(valid, **{name: 10**400}), name) == 10**400
+            continue
+        with pytest.raises(ConfigError, match=f"^{name} must be below {2**31}, got {2**31}$"):
+            dataclasses.replace(valid, **{name: 2**31})
+
+
 def test_numpy_integer_config_saves_and_reloads_equal(tmp_path):
     config = ModelConfig(
         vocab_size=np.int64(6), max_positions=np.int32(8), hidden_dim=4,
@@ -265,7 +278,7 @@ def _cache_buffers(obj, out: dict) -> dict:
         for dtype in (np.float32, np.float64)
     ],
 )
-@pytest.mark.parametrize("num_layers", [0, 1, 2])
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
 @pytest.mark.parametrize("length", [1, 7, 64])
 def test_cache_bytes_per_row_counts_what_forward_from_embeddings_keeps(
     dtype, train_mode, dropout_rate, num_layers, length
@@ -1448,31 +1461,7 @@ def test_cls_only_last_layer_matches_full_row_reference(toy_config, monkeypatch)
     np.testing.assert_allclose(d_embed, ref_d_embed, rtol=0, atol=1e-12)
 
 
-def test_encoder_without_layers_runs_forward_and_backward(toy_config):
-    cfg = dataclasses.replace(toy_config, num_layers=0, dropout_rate=0.1)
-    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
-    batch = _ragged_batch()
-    labels = [1, 0, 0, 1, 1]
-    probs = forward(params, batch).probabilities
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    out, grads = backward(params, batch, labels, rng=np.random.default_rng(0))
-    assert np.isfinite(out.logits).all()
-    assert all(np.isfinite(g).all() for g in grads.values())
-
-    # without dropout the gradients are exact: check them along a random direction
-    plain = dataclasses.replace(params, config=dataclasses.replace(cfg, dropout_rate=0.0))
-    _, grads = backward(plain, batch, labels)
-    rng = np.random.default_rng(1)
-    direction = {name: rng.normal(size=t.shape) for name, t in plain.tensors.items()}
-    analytic = sum(float((grads[name] * u).sum()) for name, u in direction.items())
-    fd = _directional_fd(plain, batch, labels, direction, step=1e-5)
-    assert abs(analytic - fd) < 1e-8, f"{analytic} vs {fd}"
-
-    # the head reads the [CLS] embedding alone, so only position 0 has a gradient
-    ids, mask = batch_arrays(batch)
-    from_embeddings = forward_from_embeddings(plain, embed(plain, ids), mask)
-    np.testing.assert_array_equal(from_embeddings.logits, forward(plain, batch).logits)
-    d_embed = grad_wrt_embeddings(plain, from_embeddings, target=1)
-    assert d_embed.shape == (*ids.shape, cfg.hidden_dim)
-    assert np.all(np.abs(d_embed[:, 0]).sum(axis=-1) > 0.0)
-    assert np.all(d_embed[:, 1:] == 0.0)
+def test_encoder_without_layers_is_refused(toy_config):
+    # the head would read the [CLS] embedding alone: one prediction for every email
+    with pytest.raises(ConfigError, match="num_layers must be at least 1, got 0"):
+        dataclasses.replace(toy_config, num_layers=0)
