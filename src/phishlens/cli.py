@@ -108,6 +108,13 @@ def _load_config_file(path: str | None) -> dict:
     for name in sections:
         if not isinstance(cfg.get(name, {}), dict):
             raise UsageError(f"config section '{name}' must be a JSON object")
+    # settings the commands fix themselves, which a config value would not change
+    for name, key, why in (
+        ("train", "shuffle_seed", "the shuffle seed is --seed"),
+        ("lime", "class_names", f"they are the corpus labels ({', '.join(LABEL_NAMES)})"),
+    ):
+        if key in cfg.get(name, {}):
+            raise UsageError(f"config section '{name}': {key} cannot be set; {why}")
     paths = cfg.get("paths", {})
     _refuse_unknown_keys(paths, ("corpus", "vocab", "checkpoint"), "config section 'paths'")
     for kind, value in paths.items():
@@ -414,10 +421,11 @@ def _explain_both(args: argparse.Namespace, config: dict):
     vocab, params, _ = _load_model(args)
     max_len = _max_len(config, params.config)
     text = _resolve_text(args)
-    # the config's lime.seed beats --seed; class names are the corpus labels
+    # the config's lime.seed beats --seed; class names are LimeConfig's default,
+    # the corpus labels
     lime_cfg = _from_section(
         LimeConfig, config, "lime", {"seed": args.seed}, num_features=args.num_features,
-        num_samples=args.num_samples, class_names=LABEL_NAMES,
+        num_samples=args.num_samples,
     )
     ig_cfg = _from_section(IGConfig, config, "ig", steps=args.steps)
     try:
@@ -525,6 +533,13 @@ def main(argv=None) -> int:
         NonFiniteTrainingError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size below every bound that still cannot be allocated
+        detail = f" ({exc})" if str(exc) else ""
+        print(
+            f"error: out of memory: a size in the config is too large for this machine{detail}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

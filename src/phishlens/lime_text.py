@@ -69,8 +69,6 @@ class WordIndex:
 
 class Perturbation(NamedTuple):
     mask: np.ndarray
-    text: str
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -112,16 +110,13 @@ def _remove_words(index: WordIndex, mask: np.ndarray) -> str:
     return "".join(parts)
 
 
-def _mask_distance(mask: np.ndarray) -> float:
-    """Cosine distance to the all-ones mask, scaled by 100.
+def _mask_distance(masks: np.ndarray) -> np.ndarray:
+    """Cosine distance of each mask (the last axis) to the all-ones mask, scaled by 100.
 
     For a binary mask with k active of F, the cosine is k/(sqrt(k)*sqrt(F))
-    = sqrt(k/F), which is exact (1.0) for the identity mask.
+    = sqrt(k/F), which is exact (1.0) for the identity mask and 0 for the empty one.
     """
-    n_active = float(mask.sum())
-    if n_active == 0.0:
-        return 100.0
-    return float((1.0 - np.sqrt(n_active / mask.size)) * 100.0)
+    return (1.0 - np.sqrt(masks.sum(axis=-1) / masks.shape[-1])) * 100.0
 
 
 def _perturbations(
@@ -131,10 +126,7 @@ def _perturbations(
     f = len(index)
     if f == 0:
         raise ValueError("cannot perturb a text with no words")
-    return [
-        Perturbation(mask=mask, text=_remove_words(index, mask), distance=_mask_distance(mask))
-        for mask in draw_masks(f)
-    ]
+    return [Perturbation(mask) for mask in draw_masks(f)]
 
 
 def sample_perturbations(index: WordIndex, n: int, seed: int) -> list[Perturbation]:
@@ -164,9 +156,9 @@ def enumerate_perturbations(index: WordIndex) -> list[Perturbation]:
     )
 
 
-def kernel_weight(distance: float, width: float) -> float:
-    """Locality kernel exp(-d^2 / width^2); LimeConfig checks the width."""
-    return float(np.exp(-(distance**2) / width**2))
+def kernel_weight(distance: np.ndarray, width: float) -> np.ndarray:
+    """Locality kernel exp(-d^2 / width^2), elementwise; LimeConfig checks the width."""
+    return np.exp(-(distance**2) / width**2)
 
 
 def _weighted_ridge(x, y, weights, alpha):
@@ -260,8 +252,8 @@ def explain(
     else:
         samples = sample_perturbations(index, cfg.num_samples, cfg.seed)
 
-    # the black box scores each distinct perturbation once, in order of its
-    # first sample, and every sample with that mask shares the result
+    # the black box scores the text of each distinct mask once, in order of
+    # its first sample, and every sample with that mask shares the result
     masks = np.stack([s.mask for s in samples])
     _, first, inverse = np.unique(masks, axis=0, return_index=True, return_inverse=True)
     n_classes = len(cfg.class_names)
@@ -269,20 +261,17 @@ def explain(
     for j in np.argsort(first):
         i = int(first[j])
         scored[j] = _check_probability_vector(
-            classifier(samples[i].text), n_classes, f"sample {i}"
+            classifier(_remove_words(index, masks[i])), n_classes, f"sample {i}"
         )
     probs = scored[inverse.reshape(-1)]
 
     if target is None:
         target = int(probs[0].argmax())
 
-    masks = masks.astype(np.float64)
-    y = probs[:, target]
-    weights = np.array([kernel_weight(s.distance, cfg.kernel_width) for s in samples])
-
+    weights = kernel_weight(_mask_distance(masks), cfg.kernel_width)
     k = min(cfg.num_features, len(index))
     selected, coefficients, intercept, r2 = fit_local_model(
-        masks, y, weights, cfg.ridge_alpha, k
+        masks, probs[:, target], weights, cfg.ridge_alpha, k
     )
     weighted_words = tuple(
         (index.distinct_words[idx], float(c)) for idx, c in zip(selected, coefficients)

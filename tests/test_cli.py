@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import edit_checkpoint_header, synthetic_corpus, write_oversized_checkpoint
+from phishlens import cli
 from phishlens.cli import EXIT_OK, EXIT_USAGE, main
 from phishlens.corpus import LABEL_NAMES, EmailRecord
 from phishlens.model import init_parameters, load_checkpoint, save_checkpoint
@@ -787,6 +788,8 @@ def test_one_config_with_paths_trains_then_evaluates(tmp_path):
         ("explain", "ig", {"steps": 10**400}),  # sizes that no array can have
         ("explain", "lime", {"num_samples": 10**400}),
         ("train", "model", {"ffn_dim": 10**400}),
+        ("train", "train", {"shuffle_seed": 5}),  # --seed always set it
+        ("explain", "lime", {"class_names": ["a", "b", "c"]}),  # the corpus labels are used
     ],
 )
 def test_rejected_config_section_is_usage_error(
@@ -803,6 +806,20 @@ def test_rejected_config_section_is_usage_error(
             del args[args.index(flag) : args.index(flag) + 2]
     assert main(args) == EXIT_USAGE
     assert f"config section '{section}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,allocator", [("train", "init_parameters"), ("explain", "explain_email")]
+)
+def test_out_of_memory_is_usage_error(trained, tmp_path, capsys, monkeypatch, command, allocator):
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 256. GiB for an array with shape (16, 2147483647)")
+
+    monkeypatch.setattr(cli, allocator, allocate)
+    assert main(_command_args(command, trained, CONFIG, tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: a size in the config is too large")
+    assert "Unable to allocate 256. GiB" in err
 
 
 def _lime_config(tmp_path, **settings):

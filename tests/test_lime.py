@@ -15,6 +15,7 @@ from phishlens.lime_text import (
     kernel_weight,
     sample_perturbations,
     _mask_distance,
+    _remove_words,
 )
 
 
@@ -54,11 +55,23 @@ def test_mask_distance_hand_value():
     assert _mask_distance(np.array([0, 0])) == 100.0
 
 
+def test_mask_distance_and_kernel_weight_of_a_mask_matrix_equal_their_rows():
+    masks = np.array(
+        [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 1, 1, 1]], dtype=np.int8
+    )
+    distances = _mask_distance(masks)
+    assert distances.shape == (4,)
+    assert distances[0] == 0.0 and distances[1] == 100.0
+    assert distances.tolist() == [float(_mask_distance(row)) for row in masks]
+    weights = kernel_weight(distances, 25.0)
+    assert weights.tolist() == [float(kernel_weight(float(d), 25.0)) for d in distances]
+
+
 def test_sample_perturbations_first_is_identity():
     idx = build_word_index("free prize click now")
     samples = sample_perturbations(idx, 10, seed=0)
-    assert samples[0].text == "free prize click now"
-    assert samples[0].distance == 0.0
+    assert _remove_words(idx, samples[0].mask) == "free prize click now"
+    assert _mask_distance(samples[0].mask) == 0.0
     assert samples[0].mask.all()
     assert len(samples) == 10
 
@@ -68,7 +81,8 @@ def test_sample_perturbations_deterministic():
     a = sample_perturbations(idx, 25, seed=42)
     b = sample_perturbations(idx, 25, seed=42)
     for pa, pb in zip(a, b):
-        assert np.array_equal(pa.mask, pb.mask) and pa.text == pb.text
+        assert np.array_equal(pa.mask, pb.mask)
+        assert _remove_words(idx, pa.mask) == _remove_words(idx, pb.mask)
     c = sample_perturbations(idx, 25, seed=43)
     assert any(not np.array_equal(pa.mask, pc.mask) for pa, pc in zip(a, c))
 
@@ -78,7 +92,7 @@ def test_sample_perturbations_removes_all_occurrences():
     samples = sample_perturbations(idx, 200, seed=1)
     for s in samples:
         if s.mask[0] == 0:  # "free" deactivated
-            assert "free" not in s.text
+            assert "free" not in _remove_words(idx, s.mask)
             break
     else:
         pytest.fail("no sample deactivated the first word")
@@ -241,9 +255,11 @@ def _per_sample_reference(text, classifier, cfg):
     """The explanation from scoring every sample, duplicates included."""
     index = build_word_index(text)
     samples = sample_perturbations(index, cfg.num_samples, cfg.seed)
-    probs = np.array([classifier(s.text) for s in samples], dtype=np.float64)
+    probs = np.array(
+        [classifier(_remove_words(index, s.mask)) for s in samples], dtype=np.float64
+    )
     target = int(probs[0].argmax())
-    weights = np.array([kernel_weight(s.distance, cfg.kernel_width) for s in samples])
+    weights = np.array([kernel_weight(_mask_distance(s.mask), cfg.kernel_width) for s in samples])
     masks = np.stack([s.mask for s in samples]).astype(np.float64)
     k = min(cfg.num_features, len(index))
     selected, coefs, intercept, r2 = fit_local_model(
