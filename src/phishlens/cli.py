@@ -225,7 +225,8 @@ def _prepare_partitions(corpus_path: str, seed: int, fraction: float, balance: s
     straddling the split); "after_split" oversamples the train partition
     only, keeping the test partition free of duplicated minority records.
     A test partition that shares records with the train partition gets a
-    warning on stderr.
+    warning on stderr; a fraction that leaves the train partition empty is a
+    usage error.
     """
     loaded = corpus_mod.load_corpus(corpus_path)
     balanced = None
@@ -234,6 +235,13 @@ def _prepare_partitions(corpus_path: str, seed: int, fraction: float, balance: s
         if balance == "before_split":
             working = balanced = corpus_mod.oversample_minority(loaded, seed=seed)
         parts = corpus_mod.split(working, fraction, seed=seed)
+        if not len(parts.train):
+            balanced_note = " once balanced" if balance == "before_split" else ""
+            raise UsageError(
+                f"train_fraction {fraction!r} leaves the train partition empty: "
+                f"{corpus_path} holds {len(working)} emails{balanced_note}, and "
+                f"floor({fraction!r} x {len(working)}) = 0"
+            )
         if balance == "after_split":
             balanced_train = corpus_mod.oversample_minority(parts.train, seed=seed)
             parts = dataclasses.replace(parts, train=balanced_train)

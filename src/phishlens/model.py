@@ -78,8 +78,8 @@ def check_fields(
     INT_LIMIT; each of `reals`, `name: (rule, test)`, a real number passing
     `test` (a comparison, which nan fails), and neither is a bool (numpy's
     too). A value not yet a Python int (float) is stored back as one, so
-    configs serialize to JSON; one that is costs no store (eval forward
-    replaces dropout_rate per call). Raises ConfigError."""
+    configs serialize to JSON; one that is costs no store. Raises
+    ConfigError."""
     for name, low in ints.items():
         value = getattr(config, name)
         if type(value) is not int:
@@ -373,10 +373,14 @@ def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _layer_norm(x, scale, shift):
     """(y, (xhat, sigma)) over the last axis; xhat is computed in x's own
-    buffer, so x is overwritten."""
+    buffer, so x is overwritten. Each mean is the sum over n divided by n:
+    ndarray.mean runs that same reduce and division, through a Python-level
+    wrapper (its float32 division runs in float64, whose rounding back to
+    float32 gives the same bits as float32's own division)."""
+    n = x.shape[-1]
     xhat = x
-    xhat -= x.mean(axis=-1, keepdims=True)
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    xhat -= x.sum(axis=-1, keepdims=True) / n
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
     sigma = np.sqrt(var + LN_EPS)
     xhat /= sigma
     y = xhat * scale
@@ -386,9 +390,10 @@ def _layer_norm(x, scale, shift):
 
 def _layer_norm_backward(dy, cache, scale):
     xhat, sigma = cache
+    n = dy.shape[-1]
     ghat = dy * scale
-    m1 = ghat.mean(axis=-1, keepdims=True)
-    m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
+    m1 = ghat.sum(axis=-1, keepdims=True) / n
+    m2 = (ghat * xhat).sum(axis=-1, keepdims=True) / n
     dx = (ghat - m1 - xhat * m2) / sigma
     axes = tuple(range(dy.ndim - 1))
     return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
@@ -420,7 +425,7 @@ class _Packing:
         self.size = flat.size if self.index is None else self.index.size
         lengths = real.sum(axis=1)
         self.cls_rows = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        distinct = np.unique(lengths)
+        distinct = lengths if len(lengths) == 1 else np.unique(lengths)
         if len(distinct) == 1:
             self.groups = [(int(distinct[0]), None)]
         else:
@@ -581,12 +586,17 @@ def _in_shards(mask: np.ndarray, config: ModelConfig, dtype, run: Callable[[list
     _MIN_SHARD_TOKENS real tokens, balanced by real tokens. Shard 0 runs on
     the calling thread and the others on a pool of CPUs - 1 threads, while
     BLAS is held at one thread, so each shard runs whole on its own core.
-    With one CPU, one row, a short batch, or a BLAS whose thread count
-    cannot be set, the batch is one shard, run on the calling thread.
+    With one CPU, a short batch, or a BLAS whose thread count cannot be
+    set, the batch is one shard, run on the calling thread. One row is one
+    shard of one piece, whatever it costs, so it is run before any row is
+    costed.
 
     `run` may call only private functions: perfbench's tracer wraps the
     public ones, and its span stack is not thread-safe."""
-    rows, cpus = len(mask), _cpus()
+    rows = len(mask)
+    if rows == 1:
+        return [run([slice(0, 1)])]
+    cpus = _cpus()
     lengths = (mask != 0.0).sum(axis=1)
     row_bytes = _cache_bytes_per_row(config, lengths, dtype)
     shards = min(cpus, rows, int(lengths.sum()) // _MIN_SHARD_TOKENS)
@@ -639,8 +649,16 @@ def _rows_per_pass(config: ModelConfig, length: int, dtype) -> int:
     pass takes under _PASS_CACHE_BYTES, at least one: the path steps per
     pass of integrated gradients. That pass drops nothing, so its cache is
     that of `config` with dropout_rate 0."""
-    row_bytes = _cache_bytes_per_row(replace(config, dropout_rate=0.0), length, dtype)
+    row_bytes = _cache_bytes_per_row(_dropout_free(config), length, dtype)
     return max(1, _PASS_CACHE_BYTES // row_bytes)
+
+
+@functools.lru_cache(maxsize=16)
+def _dropout_free(config: ModelConfig) -> ModelConfig:
+    """`config` with dropout_rate 0, whose cache is that of a pass that
+    drops nothing; kept for the last 16 configs, so a pass builds none
+    (ModelConfig is frozen, so one copy serves every pass)."""
+    return replace(config, dropout_rate=0.0)
 
 
 # ------------------------------------------------------------------ forward
@@ -705,7 +723,7 @@ def forward(
         raise ValueError("forward() runs in eval mode only; backward() runs the train-mode pass")
     ids, mask = batch_arrays(batch)
     outs = _in_shards(
-        mask, replace(params.config, dropout_rate=0.0), params.tensors["token_embedding"].dtype,
+        mask, _dropout_free(params.config), params.tensors["token_embedding"].dtype,
         lambda pieces: [_run_encoder(params, ids[p], mask[p], None, None) for p in pieces],
     )
     return _joined([out for shard in outs for out in shard])

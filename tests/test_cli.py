@@ -185,6 +185,30 @@ def test_evaluate_empty_test_partition_is_usage_error(tmp_path, capsys):
     assert str(tmp_path / "model.phl") in err and "holds no email" in err
 
 
+@pytest.mark.parametrize(
+    "flags,emails",
+    [([], "6 emails"), (["--balance"], "8 emails once balanced"),
+     (["--balance-after-split"], "6 emails")],
+)
+def test_train_fraction_that_leaves_no_train_email_is_usage_error(
+    tmp_path, capsys, flags, emails
+):
+    # 0.1 of the fixture's 6 usable emails (8 once balanced) rounds down to none
+    config = json.loads(Path(CONFIG).read_text())
+    config["train_fraction"] = 0.1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    args = [
+        "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+        "--out-dir", str(out_dir),
+    ]
+    assert main(args + flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"train_fraction 0.1 leaves the train partition empty: {CORPUS} holds {emails}" in err
+    assert not out_dir.exists()
+
+
 def _write_corpus(path, records):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -855,6 +855,36 @@ def test_one_budget_sizes_every_pass(toy_config, vocab, set_shards, monkeypatch)
     assert rows_per_call(1) == {"forward": [1] * 4, "backward": [1] * 4, "ig": [1] * 4}
 
 
+def test_one_row_eval_pass_costs_no_row_and_builds_no_config(toy_config, monkeypatch):
+    # a one-row batch (every LIME sample) is one shard of one piece whatever
+    # its row costs, and the dropout-free config that costs a batch's rows
+    # is built once per config, not on every pass
+    cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.1)
+    params = widen_parameters(init_parameters(cfg, seed=4), seed=5)
+    one_row, two_rows = toy_batch()[:1], toy_batch()
+    want = forward(params, one_row).probabilities
+    built = []
+    post_init = ModelConfig.__post_init__
+
+    def counting(config):
+        built.append(config)
+        post_init(config)
+
+    monkeypatch.setattr(ModelConfig, "__post_init__", counting)
+    for _ in range(3):
+        forward(params, two_rows)
+    assert built == []
+
+    def refuse(*args):
+        raise AssertionError("a one-row pass was costed")
+
+    for name in ("_cpus", "_cache_bytes_per_row", "_pieces"):
+        monkeypatch.setattr(model_mod, name, refuse)
+    for _ in range(3):
+        np.testing.assert_array_equal(forward(params, one_row).probabilities, want)
+    assert built == []
+
+
 @pytest.mark.parametrize("labels", [[0.7, 1.9], [True, False], [0, True], np.array([1.0, 0.0])])
 def test_non_integer_labels_are_refused(toy_params, labels):
     # int64 conversion would train on [0, 1] for [0.7, 1.9]
