@@ -91,7 +91,7 @@ def _read_json_object(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: {what} must be a JSON object")
@@ -279,6 +279,8 @@ def _recorded_split(record: dict, corpus_path: str, checkpoint: str):
         raise UsageError(f"{checkpoint}: unknown balance mode {balance!r} in split record")
     if type(seed) is not int:
         raise UsageError(f"{checkpoint}: split record seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise UsageError(f"{checkpoint}: split record seed must be non-negative, got {seed}")
     if not _is_fraction(fraction):
         raise UsageError(
             f"{checkpoint}: split record train_fraction must be a number in (0, 1], "

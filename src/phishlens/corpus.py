@@ -27,7 +27,7 @@ class EmptyCorpusError(ValueError):
 
 
 class CorpusFormatError(ValueError):
-    """Raised when a corpus file lacks the text or label column."""
+    """Raised when a corpus file lacks the text or label column, or repeats one."""
 
 
 class BalanceError(ValueError):
@@ -116,6 +116,9 @@ def load_corpus(path: str) -> LabeledCorpus:
                     f"{path}: expected columns {TEXT_COLUMN!r} and {LABEL_COLUMN!r}, "
                     f"found {reader.fieldnames}"
                 )
+            for column in (TEXT_COLUMN, LABEL_COLUMN):
+                if reader.fieldnames.count(column) > 1:
+                    raise CorpusFormatError(f"{path}: the header names column {column!r} twice")
             for row in reader:
                 body = row.get(TEXT_COLUMN)
                 raw_label = row.get(LABEL_COLUMN)

@@ -409,10 +409,12 @@ class _Packing:
     real; gather and scatter are then plain reshapes. `size` is the number
     of packed rows, and `cls_rows` the packed row of each sequence's [CLS].
 
-    `groups` lists, for each distinct real length L, (L, rows): the packed
-    rows of the G sequences of that length, sequence after sequence, so
-    that m[rows] reshapes to (G, L, ...). When every sequence has the same
-    length there is one group and rows is None: the packed matrix itself.
+    `groups` lists, for each distinct real length L, (L, rows, seqs): the
+    indices `seqs` of the G sequences of that length, which also index
+    `cls_rows` and so the last layer's B query rows, and their packed rows
+    `rows`, sequence after sequence, so that m[rows] reshapes to
+    (G, L, ...). When every sequence has the same length there is one group
+    and both are slices: every packed row and every sequence.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -427,12 +429,13 @@ class _Packing:
         self.cls_rows = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         distinct = lengths if len(lengths) == 1 else np.unique(lengths)
         if len(distinct) == 1:
-            self.groups = [(int(distinct[0]), None)]
+            self.groups = [(int(distinct[0]), slice(0, self.size), slice(0, len(lengths)))]
         else:
-            self.groups = [
-                (int(n), (self.cls_rows[lengths == n, None] + np.arange(n)).reshape(-1))
-                for n in distinct
-            ]
+            self.groups = []
+            for n in distinct:
+                seqs = np.flatnonzero(lengths == n)
+                rows = (self.cls_rows[seqs, None] + np.arange(n)).reshape(-1)
+                self.groups.append((int(n), rows, seqs))
 
     def gather(self, a: np.ndarray) -> np.ndarray:
         """(B, T, ...) -> (N, ...): the real positions only."""
@@ -851,37 +854,19 @@ def _unheads(m, rows, out: np.ndarray) -> None:
         out[rows] = m.transpose(0, 2, 1, 3).reshape(g * n, h * hd)
 
 
-def _query_groups(packing: _Packing, queries):
-    """Per length group, (n, rows, m, q_rows): its sequences of n positions,
-    their packed rows, sequence after sequence, and where their m query
-    positions per sequence sit among the query rows. rows is the index of
-    packing.groups, or a slice of every packed row for the single group of
-    a batch whose sequences are all equally long. Without `queries` every
-    position queries (m = n, q_rows = rows); with them (the [CLS] rows, in
-    packed order) only each sequence's first (m = 1), and q_rows index
-    `queries`."""
-    for n, rows in packing.groups:
-        whole = rows is None
-        if whole:
-            rows = slice(0, packing.size)
-        if queries is None:
-            yield n, rows, n, rows
-        elif whole:
-            yield n, rows, 1, slice(0, packing.size // n)
-        else:
-            yield n, rows, 1, np.searchsorted(queries, rows[::n])
-
-
 def _attention(q, k, v, packing: _Packing, queries, h: int, probs_cache: list | None):
     """Scaled dot-product attention of each sequence over its own real
     positions, one length group at a time. k and v hold every packed row;
     q holds the rows `queries` (None: every row), and so does the merged
-    context returned (zero on rows outside every group). The probabilities
-    of each group, (G, h, m, n) for m query positions per sequence, are
-    appended to `probs_cache` unless it is None."""
+    context returned (zero on rows outside every group). Without `queries`
+    every position queries (m = n); with them, the [CLS] rows, only each
+    sequence's first does (m = 1), and row b of q is sequence b's. The
+    probabilities of each group, (G, h, m, n), are appended to
+    `probs_cache` unless it is None."""
     merged = np.zeros(q.shape, dtype=q.dtype)  # C order: _unheads writes through a reshape
     root_d = math.sqrt(q.shape[1] // h)
-    for n, rows, m, q_rows in _query_groups(packing, queries):
+    for n, rows, seqs in packing.groups:
+        m, q_rows = (n, rows) if queries is None else (1, seqs)
         scores = _heads(q, q_rows, m, h) @ _heads(k, rows, n, h).transpose(0, 1, 3, 2)
         scores /= root_d
         probs = _softmax_in_place(scores)
@@ -895,8 +880,8 @@ def _attention_backward(d_merged, q, k, v, packing: _Packing, queries, h: int, p
     """Gradients of _attention's output with respect to its q, k and v."""
     dq, dk, dv = (np.zeros(m.shape, dtype=m.dtype) for m in (q, k, v))
     scale = 1.0 / math.sqrt(q.shape[1] // h)
-    groups = _query_groups(packing, queries)
-    for (n, rows, m, q_rows), probs in zip(groups, probs_cache, strict=True):
+    for (n, rows, seqs), probs in zip(packing.groups, probs_cache, strict=True):
+        m, q_rows = (n, rows) if queries is None else (1, seqs)
         d_ctx = _heads(d_merged, q_rows, m, h)
         qh = _heads(q, q_rows, m, h)
         kh, vh = (_heads(a, rows, n, h) for a in (k, v))
@@ -1278,7 +1263,7 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
             table = header["tensors"]
             dtype = table["token_embedding"]["dtype"]
             record = header.get(RECORD_KEY, {})
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
         if not isinstance(record, dict):
             raise CheckpointError(f"{path}: header {RECORD_KEY!r} must be a JSON object")
@@ -1288,7 +1273,10 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
             )
         layout = _layout(config, dtype)
         if table != layout:
-            name = next(n for n in [*layout, *table] if table.get(n) != layout.get(n))
+            name = next(
+                n for n in [*layout, *table]
+                if n not in table or n not in layout or table[n] != layout[n]
+            )
             raise CheckpointError(
                 f"{path}: tensor {name} has table entry {table.get(name)}, "
                 f"but the config and dtype {dtype} imply {layout.get(name)}"

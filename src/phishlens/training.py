@@ -170,6 +170,14 @@ def _batches(n: int, size: int, order=None):
         yield idx[start : start + size]
 
 
+def _encoded(
+    partition: LabeledCorpus, vocab: Vocabulary, max_len: int
+) -> tuple[list[TokenSequence], np.ndarray]:
+    """(token sequences, int64 labels) of the partition's records."""
+    seqs = [encode(r.body, vocab, max_len) for r in partition.records]
+    return seqs, np.array([r.label for r in partition.records], dtype=np.int64)
+
+
 def _evaluate_encoded(
     params: ModelParameters,
     seqs: Sequence[TokenSequence],
@@ -195,8 +203,7 @@ def evaluate(
     """Unshuffled, dropout-free scoring: (mean loss, per-record predictions)."""
     if len(partition) == 0:
         raise ValueError("cannot evaluate an empty partition")
-    seqs = [encode(r.body, vocab, cfg.max_len) for r in partition.records]
-    labels = np.array([r.label for r in partition.records], dtype=np.int64)
+    seqs, labels = _encoded(partition, vocab, cfg.max_len)
     return _evaluate_encoded(params, seqs, labels, cfg.eval_batch_size)
 
 
@@ -217,13 +224,8 @@ def train(
     if cfg.epochs == 0:
         return params, []
 
-    train_seqs = [encode(r.body, vocab, cfg.max_len) for r in corpus.train.records]
-    train_labels = np.array([r.label for r in corpus.train.records], dtype=np.int64)
-    if len(corpus.test) > 0:
-        test_seqs = [encode(r.body, vocab, cfg.max_len) for r in corpus.test.records]
-        test_labels = np.array([r.label for r in corpus.test.records], dtype=np.int64)
-    else:
-        test_seqs, test_labels = [], np.array([], dtype=np.int64)
+    train_seqs, train_labels = _encoded(corpus.train, vocab, cfg.max_len)
+    test_seqs, test_labels = _encoded(corpus.test, vocab, cfg.max_len)
 
     state = OptimizerState.zeros_like(params.tensors)
     shuffle_rng = np.random.default_rng(cfg.shuffle_seed)

@@ -149,6 +149,8 @@ def test_evaluate_golden_imbalanced_confusion(tmp_path, capsys):
         ('{"predictions": [0, 1], "labels": ["0", "1"]}', "labels must be a non-empty list"),
         ('{"predictions": 5, "labels": [0, 1]}', "predictions must be a non-empty list"),
         ('{"predictions": [], "labels": []}', "predictions must be a non-empty list"),
+        # nested past the parser's recursion limit
+        pytest.param("[" * 100_000, "not valid JSON", id="nested-too-deep"),
     ],
 )
 def test_evaluate_bad_predictions_file_is_usage_error(tmp_path, capsys, content, message):
@@ -286,10 +288,18 @@ def test_evaluate_scores_exactly_the_partition_train_held_out(tmp_path, train_fl
             lambda record: record["split"].update(seed="5"),
             "split record seed must be an int, got '5'",
         ),
+        (
+            lambda record: record["split"].update(seed=-1),
+            "split record seed must be non-negative, got -1",
+        ),
+        (
+            lambda record: record["split"].update(seed=-1, balance="before_split"),
+            "split record seed must be non-negative, got -1",
+        ),
     ],
     ids=[
         "missing", "no-seed", "unknown-balance", "fraction-above-1", "fraction-string",
-        "seed-float", "seed-string",
+        "seed-float", "seed-string", "seed-negative", "seed-negative-balanced",
     ],
 )
 def test_evaluate_checkpoint_without_usable_split_record_is_usage_error(
@@ -976,6 +986,20 @@ def test_malformed_input_file_is_usage_error(trained, tmp_path, capsys, case):
     code = main(args)
     assert code == EXIT_USAGE
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["Email Text", "Email Type"])
+def test_corpus_repeating_a_column_is_usage_error(tmp_path, capsys, column):
+    with open(CORPUS, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    repeated = rows[0].index(column)
+    bad = tmp_path / "emails.csv"
+    with open(bad, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(row + [row[repeated]] for row in rows)
+    args = ["train", "--corpus", str(bad), "--vocab", VOCAB, "--config", CONFIG]
+    assert main([*args, "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"names column '{column}' twice" in err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "explain", "compare"])

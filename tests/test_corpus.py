@@ -8,6 +8,7 @@ from phishlens.corpus import (
     PHISHING,
     SAFE,
     BalanceError,
+    CorpusFormatError,
     EmailRecord,
     EmptyCorpusError,
     LabeledCorpus,
@@ -99,6 +100,21 @@ def test_load_reads_a_body_past_the_csv_field_limit(tmp_path):
     corpus = load_corpus(path)
     assert [rec.body for rec in corpus.records] == [body, "short"]
     assert csv.field_size_limit() == limit  # restored after the read
+
+
+@pytest.mark.parametrize("column", ["Email Text", "Email Type"])
+def test_load_refuses_a_repeated_text_or_label_column(tmp_path, column):
+    # csv.DictReader would silently keep the last of the repeated cells
+    header = f'"Email Text","Email Type","{column}"'
+    path = write_csv(tmp_path, ['"hello there","Safe Email","free money"'], header=header)
+    with pytest.raises(CorpusFormatError, match=f"names column '{column}' twice"):
+        load_corpus(path)
+
+
+def test_load_allows_a_repeated_other_column(tmp_path):
+    header = '"note","Email Text","Email Type","note"'
+    path = write_csv(tmp_path, ['"a","hello there","Safe Email","b"'], header=header)
+    assert load_corpus(path).records == (EmailRecord(body="hello there", label=SAFE),)
 
 
 def test_load_fixture_file():

@@ -344,7 +344,7 @@ def test_attention_rows_normalized_and_masked_weights_zero(toy_params):
     layers = out.cache["layers"]
     for i, lc in enumerate(layers):
         key_counts = []
-        for (n, _), probs in zip(groups, lc["probs"], strict=True):  # (G, h, m, n)
+        for (n, _, _), probs in zip(groups, lc["probs"], strict=True):  # (G, h, m, n)
             # the last layer computes only the [CLS] query row of each sequence
             assert probs.shape[-2:] == (1 if i == len(layers) - 1 else n, n)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -959,6 +959,14 @@ def test_checkpoint_record_not_an_object_rejected(toy_params, tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_header_nested_too_deep_rejected(tmp_path):
+    blob = b"[" * 100_000
+    path = tmp_path / "model.phl"
+    path.write_bytes(model_mod.MAGIC + len(blob).to_bytes(4, "little") + blob)
+    with pytest.raises(CheckpointError, match="unreadable header"):
+        load_checkpoint(str(path))
+
+
 def _without(tensors, name):
     return {k: v for k, v in tensors.items() if k != name}
 
@@ -1038,8 +1046,9 @@ def test_checkpoint_trailing_byte_rejected(toy_params, tmp_path):
     [
         (lambda t: t.update(extra=dict(t["classifier.bias"])), "extra"),
         (lambda t: t.pop("layer0.attn_v.bias"), "layer0.attn_v.bias"),
+        (lambda t: t.update(extra=None), "extra"),  # None is also what the layout .get()s
     ],
-    ids=["extra-entry", "missing-entry"],
+    ids=["extra-entry", "missing-entry", "extra-null-entry"],
 )
 def test_checkpoint_table_entry_extra_or_missing_rejected(toy_params, tmp_path, edit, named):
     path = tmp_path / "model.phl"
@@ -1354,7 +1363,7 @@ def _repeated_length_batch():
 
 def test_repeated_length_batch_forward_equals_single_rows(toy_params):
     batch = _repeated_length_batch()
-    assert [n for n, _ in model_mod._Packing(batch_arrays(batch)[1]).groups] == [3, 5, 12]
+    assert [n for n, _, _ in model_mod._Packing(batch_arrays(batch)[1]).groups] == [3, 5, 12]
     _assert_forward_equals_single_rows(widen_parameters(toy_params, seed=3), batch)
 
 
@@ -1426,7 +1435,7 @@ class _FullWidth(model_mod._Packing):
         real = mask != 0.0
         lengths = real.sum(axis=1)
         self.groups = [  # flat index b*T + t is the full-width row of (b, t)
-            (int(n), np.flatnonzero(real & (lengths == n)[:, None]))
+            (int(n), np.flatnonzero(real & (lengths == n)[:, None]), np.flatnonzero(lengths == n))
             for n in np.unique(lengths)
         ]
 
