@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .corpus import LABEL_NAMES
 from .intgrad import IGConfig
-from .lime_text import LimeConfig, LimeSettingError, build_word_index
+from .lime_text import ClassifierContractError, LimeConfig, LimeSettingError, build_word_index
 from .model import (
     CheckpointError,
     ModelConfig,
@@ -399,7 +399,10 @@ def cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
                 f"{checkpoint}: its recorded split (train_fraction {fraction}) "
                 f"holds no email of {corpus_path} out"
             )
-        _, predictions = evaluate(params, parts.test, vocab, eval_cfg)
+        try:
+            _, predictions = evaluate(params, parts.test, vocab, eval_cfg)
+        except NonFiniteTrainingError as exc:
+            raise UsageError(f"{checkpoint}: {exc}") from exc
         labels = [r.label for r in parts.test.records]
 
     cm = metrics_mod.confusion(predictions, labels)
@@ -442,6 +445,10 @@ def _explain_both(args: argparse.Namespace, config: dict):
         lime_exp, ig_record = explain_email(text, params, vocab, max_len, lime_cfg, ig_cfg)
     except LimeSettingError as exc:  # exhaustive on too many words, or a singular fit
         raise UsageError(f"config section 'lime': {exc}") from exc
+    except ClassifierContractError as exc:  # a softmax breaks it only where it is not finite
+        raise UsageError(
+            f"{args.checkpoint}: the model's probabilities are not finite ({exc})"
+        ) from exc
     return text, lime_exp, ig_record
 
 

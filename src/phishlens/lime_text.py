@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import LABEL_NAMES
-from .model import check_fields
+from .model import _check_class_index, check_fields
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -242,10 +242,14 @@ def explain(
     """Surrogate explanation of classifier(text) for one class.
 
     The target defaults to the class the black box predicts for the original
-    text. The classifier must map any text to a probability vector over
-    cfg.class_names. It is called once per distinct perturbation, so it
-    should depend on the text alone.
+    text; a given target that is no class index raises ValueError before
+    any text is scored. The classifier must map any text to a probability
+    vector over cfg.class_names. It is called once per distinct
+    perturbation, so it should depend on the text alone.
     """
+    n_classes = len(cfg.class_names)
+    if target is not None:
+        _check_class_index(target, n_classes)
     index = build_word_index(text)
     if cfg.exhaustive:
         samples = enumerate_perturbations(index)
@@ -256,7 +260,6 @@ def explain(
     # its first sample, and every sample with that mask shares the result
     masks = np.stack([s.mask for s in samples])
     _, first, inverse = np.unique(masks, axis=0, return_index=True, return_inverse=True)
-    n_classes = len(cfg.class_names)
     scored = np.empty((len(first), n_classes))
     for j in np.argsort(first):
         i = int(first[j])

@@ -388,15 +388,20 @@ def _layer_norm(x, scale, shift):
     return y, (xhat, sigma)
 
 
-def _layer_norm_backward(dy, cache, scale):
+def _layer_norm_backward(dy, cache, p, name: str, grads: GradientSet | None):
+    """The gradient of _layer_norm's (N, D) input from `dy`, that of its
+    output; unless `grads` is None, those of the scale and shift `name`
+    are added into it (see _accumulate)."""
     xhat, sigma = cache
     n = dy.shape[-1]
-    ghat = dy * scale
+    ghat = dy * p[name + ".scale"]
     m1 = ghat.sum(axis=-1, keepdims=True) / n
     m2 = (ghat * xhat).sum(axis=-1, keepdims=True) / n
     dx = (ghat - m1 - xhat * m2) / sigma
-    axes = tuple(range(dy.ndim - 1))
-    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+    if grads is not None:
+        _accumulate(grads, name + ".scale", (dy * xhat).sum(axis=0))
+        _accumulate(grads, name + ".shift", dy.sum(axis=0))
+    return dx
 
 
 class _Packing:
@@ -705,7 +710,18 @@ def embed(params: ModelParameters, ids: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"sequence length {t} exceeds max_positions {params.config.max_positions}"
         )
-    return params.tensors["token_embedding"][ids] + params.tensors["position_embedding"][:t]
+    return _token_vectors(params, ids) + params.tensors["position_embedding"][:t]
+
+
+def _token_vectors(params: ModelParameters, ids: np.ndarray) -> np.ndarray:
+    """The token_embedding rows of `ids`: every lookup of a token id. An id
+    outside [0, vocab_size) raises ValueError, where numpy would take -1 for
+    the last row."""
+    table = params.tensors["token_embedding"]
+    if ids.size and not 0 <= ids.min() <= ids.max() < len(table):
+        bad = ids.min() if ids.min() < 0 else ids.max()
+        raise ValueError(f"token id {bad} lies outside the vocabulary's [0, {len(table)})")
+    return table[ids]
 
 
 def forward(
@@ -796,7 +812,7 @@ def _run_encoder(params, inputs, mask, keeps, cache: dict | None) -> ForwardOutp
 
     if from_ids:  # the same sums as embed(), at the real positions alone
         positions = np.broadcast_to(np.arange(t), inputs.shape)
-        x = p["token_embedding"][packing.gather(inputs)]
+        x = _token_vectors(params, packing.gather(inputs))
         x += p["position_embedding"][packing.gather(positions)]
     else:
         x = packing.gather(inputs)
@@ -836,6 +852,15 @@ def _linear(x, p, name: str) -> np.ndarray:
     y = x @ p[name + ".weight"]
     y += p[name + ".bias"]
     return y
+
+
+def _linear_grads(grads: GradientSet | None, name: str, x, dy) -> None:
+    """Add the gradients of _linear's weight and bias `name`, x.T @ dy and
+    dy's column sums, into `grads` (see _accumulate); nothing when it is
+    None."""
+    if grads is not None:
+        _accumulate(grads, name + ".weight", x.T @ dy)
+        _accumulate(grads, name + ".bias", dy.sum(axis=0))
 
 
 def _heads(m, rows, n: int, h: int) -> np.ndarray:
@@ -960,6 +985,15 @@ def _feed_forward(p, pre, h1, keep, lc: dict | None) -> np.ndarray:
     return y
 
 
+def _check_class_index(target, classes: int) -> None:
+    """Raise ValueError unless `target` is an integer in [0, classes): numpy
+    would take -1 for the last class, and True for every class."""
+    if isinstance(target, bool) or not isinstance(target, numbers.Integral) or not (
+        0 <= target < classes
+    ):
+        raise ValueError(f"target must be a class index in [0, {classes}), got {target!r}")
+
+
 def _label_array(labels: Sequence[int], rows: int, classes: int) -> np.ndarray:
     if len(labels) != rows:
         raise ValueError(f"{len(labels)} labels for batch of {rows}")
@@ -1026,8 +1060,10 @@ def backward(
             dlogits[np.arange(len(dlogits)), labels_arr[piece]] -= 1.0
             dlogits /= len(labels_arr)
             d_embed = _backward_core(params, cache, dlogits, grads)
+            packing = cache["packing"]
+            _accumulate(grads, "position_embedding", packing.scatter(d_embed).sum(axis=0))
             outs.append(out)
-            embed_grads.append((cache["packing"].gather(ids[piece]), d_embed))
+            embed_grads.append((packing.gather(ids[piece]), d_embed))
         return outs, grads, embed_grads
 
     shards = _in_shards(mask, cfg, params.tensors["token_embedding"].dtype, shard)
@@ -1040,7 +1076,11 @@ def backward(
             np.add.at(token_grad, packed_ids, d_embed)
         for name, g in shard_grads.items():
             _accumulate(grads, name, g)
-    grads["token_embedding"] = token_grad
+    position_grad = np.zeros_like(params.tensors["position_embedding"])
+    position_grad[: mask.shape[1]] = grads["position_embedding"]
+    grads.update(token_embedding=token_grad, position_embedding=position_grad)
+    for i in range(cfg.num_layers):  # the forward adds no key bias (see _encoder_layer)
+        grads[f"layer{i}.attn_k.bias"] = np.zeros_like(params.tensors[f"layer{i}.attn_k.bias"])
     return _joined(outs), {name: grads[name] for name in params.tensors}
 
 
@@ -1048,13 +1088,15 @@ def grad_wrt_embeddings(
     params: ModelParameters, output: ForwardOutput, target: int
 ) -> np.ndarray:
     """d(target logit)/d(embeddings) for every batch row, shape (B, T, D) with
-    zeros at padding; parameters untouched."""
+    zeros at padding; parameters untouched. A target that is no class index
+    raises ValueError."""
     cache = output.cache
     if cache is None:
         raise StaleCacheError(
             "output has no backward cache; compute it with forward_from_embeddings()"
         )
     b, c = output.logits.shape
+    _check_class_index(target, c)
     dlogits = np.zeros((b, c), dtype=output.logits.dtype)
     dlogits[:, target] = 1.0
     d_embed = _backward_core(params, cache, dlogits, None)
@@ -1063,24 +1105,19 @@ def grad_wrt_embeddings(
 
 def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndarray:
     """The packed (N, D) gradient of the embeddings from the cache of one
-    pass; unless `grads` is None, each parameter's gradient is also added
-    into it as soon as computed (see _accumulate), so a pass's gradients
-    never exist as a second set. They lack token_embedding, which the
-    caller builds from the embeddings' gradient."""
+    pass, each step the reverse of the head's and _encoder_layer's; unless
+    `grads` is None, each parameter's gradient is also added into it as
+    soon as computed (_linear_grads, _layer_norm_backward), so a pass's
+    gradients never exist as a second set. They lack the embeddings', which
+    the caller builds from the returned gradient, and the key biases',
+    which are zero (see _encoder_layer)."""
     cfg = params.config
     p = params.tensors
-
-    pre_act, pre_lin, cls_vec = cache["pre_act"], cache["pre_lin"], cache["cls_vec"]
     packing = cache["packing"]
 
-    if grads is not None:
-        _accumulate(grads, "classifier.weight", pre_act.T @ dlogits)
-        _accumulate(grads, "classifier.bias", dlogits.sum(axis=0))
-    d_pre_act = dlogits @ p["classifier.weight"].T
-    d_pre_lin = d_pre_act * (pre_lin > 0.0)
-    if grads is not None:
-        _accumulate(grads, "prehead.weight", cls_vec.T @ d_pre_lin)
-        _accumulate(grads, "prehead.bias", d_pre_lin.sum(axis=0))
+    _linear_grads(grads, "classifier", cache["pre_act"], dlogits)
+    d_pre_lin = (dlogits @ p["classifier.weight"].T) * (cache["pre_lin"] > 0.0)
+    _linear_grads(grads, "prehead", cache["cls_vec"], d_pre_lin)
     d_cls = d_pre_lin @ p["prehead.weight"].T
 
     # d_cls is the gradient of the last layer's output when that layer
@@ -1098,43 +1135,20 @@ def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndar
         lc = cache["layers"][i]
         queries = _query_rows(packing, i, cfg.num_layers)
 
-        d_sum2, d_scale2, d_shift2 = _layer_norm_backward(
-            dx, lc["ln2"], p[pre + "ffn_norm.scale"]
-        )
-        if grads is not None:
-            _accumulate(grads, pre + "ffn_norm.scale", d_scale2)
-            _accumulate(grads, pre + "ffn_norm.shift", d_shift2)
-        d_h1 = d_sum2.copy()
-        d_ffn_out = d_sum2
-        if "ffn_keep" in lc:
-            d_ffn_out = d_ffn_out * lc["ffn_keep"]
-
+        d_sum2 = _layer_norm_backward(dx, lc["ln2"], p, pre + "ffn_norm", grads)
+        d_ffn_out = d_sum2 * lc["ffn_keep"] if "ffn_keep" in lc else d_sum2
         if grads is not None:
             ffn_act = gelu(lc["ffn_pre"], lc["ffn_phi"])  # recomputed, not cached
-            _accumulate(grads, pre + "ffn_out.weight", ffn_act.T @ d_ffn_out)
-            del ffn_act
-            _accumulate(grads, pre + "ffn_out.bias", d_ffn_out.sum(axis=0))
+            _linear_grads(grads, pre + "ffn_out", ffn_act, d_ffn_out)
+            del ffn_act  # before gelu_grad makes its own (N, F) arrays
         d_ffn_pre = gelu_grad(lc["ffn_pre"], lc["ffn_phi"])
         d_ffn_pre *= d_ffn_out @ p[pre + "ffn_out.weight"].T
-        if grads is not None:
-            _accumulate(grads, pre + "ffn_in.weight", lc["h1"].T @ d_ffn_pre)
-            _accumulate(grads, pre + "ffn_in.bias", d_ffn_pre.sum(axis=0))
-        d_h1 += d_ffn_pre @ p[pre + "ffn_in.weight"].T
+        _linear_grads(grads, pre + "ffn_in", lc["h1"], d_ffn_pre)
+        d_h1 = d_sum2 + d_ffn_pre @ p[pre + "ffn_in.weight"].T
 
-        d_sum1, d_scale1, d_shift1 = _layer_norm_backward(
-            d_h1, lc["ln1"], p[pre + "attn_norm.scale"]
-        )
-        if grads is not None:
-            _accumulate(grads, pre + "attn_norm.scale", d_scale1)
-            _accumulate(grads, pre + "attn_norm.shift", d_shift1)
-        d_xq = d_sum1.copy()
-        d_attn = d_sum1
-        if "attn_keep" in lc:
-            d_attn = d_attn * lc["attn_keep"]
-
-        if grads is not None:
-            _accumulate(grads, pre + "attn_out.weight", lc["merged"].T @ d_attn)
-            _accumulate(grads, pre + "attn_out.bias", d_attn.sum(axis=0))
+        d_sum1 = _layer_norm_backward(d_h1, lc["ln1"], p, pre + "attn_norm", grads)
+        d_attn = d_sum1 * lc["attn_keep"] if "attn_keep" in lc else d_sum1
+        _linear_grads(grads, pre + "attn_out", lc["merged"], d_attn)
         dq, dk, dv = _attention_backward(
             d_attn @ p[pre + "attn_out.weight"].T,
             lc["q"], lc["k"], lc["v"], packing, queries, cfg.num_heads, lc["probs"],
@@ -1142,31 +1156,21 @@ def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndar
 
         # dq reaches the query rows, dk and dv every row
         x_in = lc["x_in"]
-        xq = x_in if queries is None else x_in[queries]
-        if grads is not None:
-            for dname, dm, src in (("attn_q", dq, xq), ("attn_k", dk, x_in), ("attn_v", dv, x_in)):
-                _accumulate(grads, pre + dname + ".weight", src.T @ dm)
-                # the forward adds no key bias (see _encoder_layer)
-                bias = np.zeros(dm.shape[1], dm.dtype) if dname == "attn_k" else dm.sum(axis=0)
-                _accumulate(grads, pre + dname + ".bias", bias)
-        d_xq += dq @ p[pre + "attn_q.weight"].T
+        _linear_grads(grads, pre + "attn_q", x_in if queries is None else x_in[queries], dq)
+        _linear_grads(grads, pre + "attn_v", x_in, dv)
+        if grads is not None:  # the forward adds no key bias (see _encoder_layer)
+            _accumulate(grads, pre + "attn_k.weight", x_in.T @ dk)
+        d_xq = d_sum1 + dq @ p[pre + "attn_q.weight"].T
         if queries is None:
-            d_x = d_xq
+            dx = d_xq
         else:
-            d_x = np.zeros_like(x_in)
-            d_x[queries] = d_xq
-        d_x += dk @ p[pre + "attn_k.weight"].T
-        d_x += dv @ p[pre + "attn_v.weight"].T
-        dx = d_x
+            dx = np.zeros_like(x_in)
+            dx[queries] = d_xq
+        dx += dk @ p[pre + "attn_k.weight"].T
+        dx += dv @ p[pre + "attn_v.weight"].T
 
     if "embed_keep" in cache:
         dx = dx * cache["embed_keep"]
-
-    if grads is not None:
-        d_position = np.zeros_like(p["position_embedding"])
-        d_position[: packing.shape[1]] = packing.scatter(dx).sum(axis=0)
-        _accumulate(grads, "position_embedding", d_position)
-
     return dx
 
 

@@ -20,7 +20,8 @@ from .tokenizer import TokenSequence, Vocabulary, encode
 
 
 class NonFiniteTrainingError(ValueError):
-    """A training step produced a non-finite loss or gradient."""
+    """A training step produced a non-finite loss or gradient, or a model
+    scored held-out emails with a non-finite loss."""
 
 
 @dataclass
@@ -200,11 +201,19 @@ def evaluate(
     vocab: Vocabulary,
     cfg: TrainConfig,
 ) -> tuple[float, list[int]]:
-    """Unshuffled, dropout-free scoring: (mean loss, per-record predictions)."""
+    """Unshuffled, dropout-free scoring: (mean loss, per-record predictions).
+
+    A loss that is not finite, from a model whose outputs are not, raises
+    NonFiniteTrainingError rather than scoring predictions made from them."""
     if len(partition) == 0:
         raise ValueError("cannot evaluate an empty partition")
     seqs, labels = _encoded(partition, vocab, cfg.max_len)
-    return _evaluate_encoded(params, seqs, labels, cfg.eval_batch_size)
+    loss, predictions = _evaluate_encoded(params, seqs, labels, cfg.eval_batch_size)
+    if not math.isfinite(loss):
+        raise NonFiniteTrainingError(
+            f"the mean loss over {len(seqs)} emails is {loss}: the model's outputs are not finite"
+        )
+    return loss, predictions
 
 
 def train(
@@ -217,7 +226,9 @@ def train(
     """Fine-tune in place over cfg.epochs; returns (params, per-epoch stats).
 
     A step whose loss or gradient is not finite raises NonFiniteTrainingError
-    naming its epoch and batch, before the update is applied.
+    naming its epoch and batch, before the update is applied; so does an
+    epoch whose held-out loss is not finite, naming the epoch, before
+    on_epoch sees its stats.
     """
     if len(corpus.train) == 0:
         raise ValueError("cannot train on an empty train partition")
@@ -253,6 +264,8 @@ def train(
             eval_loss, eval_preds = _evaluate_encoded(
                 params, test_seqs, test_labels, cfg.eval_batch_size
             )
+            if not math.isfinite(eval_loss):
+                raise NonFiniteTrainingError(f"epoch {epoch}: held-out loss is {eval_loss}")
             eval_acc = float(np.mean(np.array(eval_preds) == test_labels))
         else:
             eval_loss, eval_acc = None, None

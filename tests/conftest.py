@@ -79,6 +79,17 @@ def widen_parameters(params, seed=99):
     return out
 
 
+def overflowing_head(params):
+    """`params` edited in place so that, with every weight still finite, the
+    logits are inf for every class and input, and softmax gives NaN: every
+    [CLS] vector reaches the classifier as ones, and each logit sums
+    hidden_dim terms of 1e308."""
+    params.tensors["prehead.weight"][...] = 0.0
+    params.tensors["prehead.bias"][...] = 1.0
+    params.tensors["classifier.weight"][...] = 1e308
+    return params
+
+
 def edit_checkpoint_header(src, dst, edit):
     """Copy checkpoint `src` to `dst` with `edit` applied to its parsed JSON
     header; the tensor bytes are copied unchanged."""

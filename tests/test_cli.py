@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import edit_checkpoint_header, synthetic_corpus, write_oversized_checkpoint
+from conftest import (
+    edit_checkpoint_header, overflowing_head, synthetic_corpus, write_oversized_checkpoint,
+)
 from phishlens import cli
 from phishlens.cli import EXIT_OK, EXIT_USAGE, main
 from phishlens.corpus import LABEL_NAMES, EmailRecord
@@ -920,10 +922,12 @@ def test_malformed_config_file_is_usage_error(
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
-def test_diverging_training_is_usage_error(tmp_path, capsys):
-    # one step at this rate drives the weights far enough to overflow the next pass
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_diverging_training_is_usage_error(tmp_path, capsys, epochs):
+    # one step at this rate drives the weights far enough to overflow the
+    # next pass: the first epoch's held-out loss is NaN
     config = json.loads(Path(CONFIG).read_text())
-    config["train"]["learning_rate"] = 1e300
+    config["train"].update(learning_rate=1e300, epochs=epochs)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     args = [
@@ -931,8 +935,23 @@ def test_diverging_training_is_usage_error(tmp_path, capsys):
         "--seed", "5", "--out-dir", str(tmp_path),
     ]
     assert main(args) == EXIT_USAGE
-    assert "error: epoch 1, batch 0: training loss is nan" in capsys.readouterr().err
+    assert "error: epoch 0: held-out loss is nan" in capsys.readouterr().err
     assert not (tmp_path / "model.phl").exists()
+    # the header alone: no epoch line, and so no NaN, which is not JSON
+    lines = (tmp_path / "train_stats.jsonl").read_text().splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["header"]
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["evaluate", "explain", "compare"])
+def test_checkpoint_with_non_finite_outputs_is_usage_error(trained, tmp_path, capsys, command):
+    params, record = load_checkpoint(str(trained / "model.phl"))
+    save_checkpoint(overflowing_head(params), str(tmp_path / "model.phl"), record)
+    code = main(_inference_args(command, tmp_path, VOCAB, CONFIG, tmp_path / "out"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'model.phl'}: " in err and "not finite" in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def test_partial_model_section_fills_from_the_preset(tmp_path):

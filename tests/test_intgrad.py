@@ -108,6 +108,14 @@ def test_integrated_gradients_validates_geometry(ig_params, vocab):
         integrated_gradients(ig_params, seq, other_mask, target=1, steps=2)
 
 
+@pytest.mark.parametrize("target", [-1, 2])
+def test_integrated_gradients_refuses_a_target_that_is_no_class(ig_params, vocab, target):
+    # numpy would attribute -1 to the last class
+    seq = encode("free money", vocab, max_len=8)
+    with pytest.raises(ValueError, match=r"target must be a class index in \[0, 2\)"):
+        integrated_gradients(ig_params, seq, make_baseline(seq, vocab), target=target, steps=2)
+
+
 def test_completeness_gap_small_at_512_steps(ig_params, vocab):
     corpus = synthetic_corpus(20, seed=9)
     gaps_512, gaps_16 = [], []

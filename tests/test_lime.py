@@ -214,6 +214,21 @@ def test_explain_defaults_to_argmax_class():
     assert exp.predicted_probability == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("target", [-1, 2, True, 0.0])
+def test_explain_refuses_a_target_that_is_no_class(target):
+    # numpy would take -1 for the last class; nothing is scored first
+    calls = []
+
+    def clf(text):
+        calls.append(text)
+        return [0.5, 0.5]
+
+    cfg = LimeConfig(num_features=1, num_samples=16, seed=0)
+    with pytest.raises(ValueError, match=re.escape("target must be a class index in [0, 2)")):
+        explain("good words", clf, cfg, target=target)
+    assert calls == []
+
+
 def test_explain_deterministic():
     clf = linear_classifier(["a1", "b2", "c3"], [0.1, -0.2, 0.15])
     cfg = LimeConfig(num_features=3, num_samples=50, seed=11)

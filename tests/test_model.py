@@ -590,6 +590,57 @@ def test_grad_wrt_embeddings_names_the_pass_that_keeps_a_cache(toy_params):
         grad_wrt_embeddings(toy_params, forward(toy_params, toy_batch()), target=1)
 
 
+@pytest.mark.parametrize("target", [-1, 2, True, 1.0])
+def test_grad_wrt_embeddings_refuses_a_target_that_is_no_class(toy_params, target):
+    # numpy would take -1 for the last class and True for both
+    ids, mask = batch_arrays(toy_batch())
+    out = forward_from_embeddings(toy_params, embed(toy_params, ids), mask)
+    with pytest.raises(ValueError, match=re.escape("target must be a class index in [0, 2)")):
+        grad_wrt_embeddings(toy_params, out, target)
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+def test_token_ids_outside_the_vocabulary_are_refused(toy_params, past_end):
+    # numpy would embed -1 as the vocabulary's last token
+    vocab_size = toy_params.config.vocab_size
+    bad = vocab_size if past_end else -1
+    batch = [make_seq([2, 5, bad, 3], 4, 6), make_seq([2, 9, 3], 3, 6)]
+    message = re.escape(f"token id {bad} lies outside the vocabulary's [0, {vocab_size})")
+    for run in (
+        lambda: forward(toy_params, batch),
+        lambda: backward(toy_params, batch, LABELS),
+        lambda: embed(toy_params, batch_arrays(batch)[0]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_backward_core_without_a_gradient_set_gives_the_same_embedding_gradient():
+    # the pass IG runs (grads None) against the one training runs, on one
+    # cache of a ragged two-layer batch
+    config = ModelConfig(
+        vocab_size=60, max_positions=16, hidden_dim=16, num_heads=2, num_layers=2,
+        ffn_dim=24, dropout_rate=0.0,
+    )
+    params = widen_parameters(init_parameters(config, seed=3))
+    batch = [make_seq([2, 7, 9, 11, 3], 5, 8), make_seq([2, 8, 3], 3, 8),
+             make_seq([2, 12, 14, 16, 18, 20, 3], 7, 8)]
+    ids, mask = batch_arrays(batch)
+    out = forward_from_embeddings(params, embed(params, ids), mask)
+    dlogits = np.zeros_like(out.logits)
+    dlogits[:, 1] = 1.0
+    grads = {}
+    bare = model_mod._backward_core(params, out.cache, dlogits, None)
+    full = model_mod._backward_core(params, out.cache, dlogits, grads)
+    assert bare.dtype == full.dtype and bare.shape == full.shape
+    assert bare.tobytes() == full.tobytes()
+    # backward builds the embeddings' gradients and the key biases' zeros
+    skipped = {"token_embedding", "position_embedding", "layer0.attn_k.bias", "layer1.attn_k.bias"}
+    assert set(grads) == set(params.tensors) - skipped
+    for name, g in grads.items():
+        assert g.shape == params.tensors[name].shape, name
+
+
 def test_eval_forward_holds_no_cache_memory():
     # d=64, T=128, B=8, 4 layers: float64 attention maps are 4 MB per layer
     params = _four_layer_params(max_positions=128)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import synthetic_corpus
+from conftest import overflowing_head, synthetic_corpus
 from phishlens import training
 from phishlens.corpus import SplitCorpus, split
 from phishlens.model import ModelConfig, init_parameters
@@ -241,6 +241,26 @@ def test_non_finite_step_stops_training_before_the_update(vocab):
     assert isinstance(info.value, ValueError)
     for name in before:
         np.testing.assert_array_equal(params.tensors[name], before[name], err_msg=name)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_non_finite_held_out_loss_stops_training_before_on_epoch(vocab):
+    # one step at this rate leaves finite weights whose outputs overflow;
+    # one batch per epoch, so no later step's loss catches it first
+    _, parts, cfg = _toy_setup(40)
+    cfg.learning_rate, cfg.train_batch_size, cfg.epochs = 1e300, 64, 2
+    seen = []
+    with pytest.raises(NonFiniteTrainingError, match=r"^epoch 0: held-out loss is nan$"):
+        train(_toy_model(vocab), parts, vocab, cfg, on_epoch=seen.append)
+    assert seen == []
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_evaluate_refuses_a_non_finite_loss(vocab):
+    params = overflowing_head(_toy_model(vocab))
+    corpus = synthetic_corpus(12, seed=2)
+    with pytest.raises(NonFiniteTrainingError, match=r"over 12 emails is nan: .* not finite"):
+        evaluate(params, corpus, vocab, TrainConfig(max_len=16))
 
 
 def test_toy_separable_corpus_learns(vocab):
