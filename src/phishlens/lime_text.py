@@ -119,41 +119,31 @@ def _mask_distance(masks: np.ndarray) -> np.ndarray:
     return (1.0 - np.sqrt(masks.sum(axis=-1) / masks.shape[-1])) * 100.0
 
 
-def _perturbations(
-    index: WordIndex, draw_masks: Callable[[int], np.ndarray]
-) -> list[Perturbation]:
-    """One Perturbation per row of the (N, F) int8 mask matrix draw_masks(F)."""
+def sample_perturbations(index: WordIndex, n: int, seed: int) -> list[Perturbation]:
+    """All-ones first, then n-1 random non-empty deactivation subsets."""
     f = len(index)
     if f == 0:
         raise ValueError("cannot perturb a text with no words")
-    return [Perturbation(mask) for mask in draw_masks(f)]
-
-
-def sample_perturbations(index: WordIndex, n: int, seed: int) -> list[Perturbation]:
-    """All-ones first, then n-1 random non-empty deactivation subsets."""
-
-    def draw(f: int) -> np.ndarray:
-        masks = np.ones((n, f), dtype=np.int8)
-        rng = np.random.default_rng(seed)
-        for mask in masks[1:]:
-            k = int(rng.integers(1, f + 1))
-            mask[rng.choice(f, size=k, replace=False)] = 0
-        return masks
-
-    return _perturbations(index, draw)
+    masks = np.ones((n, f), dtype=np.int8)
+    rng = np.random.default_rng(seed)
+    for mask in masks[1:]:
+        k = int(rng.integers(1, f + 1))
+        mask[rng.choice(f, size=k, replace=False)] = 0
+    return [Perturbation(mask) for mask in masks]
 
 
 def enumerate_perturbations(index: WordIndex) -> list[Perturbation]:
     """Every one of the 2^F masks, all-ones first (for oracle-grade fits)."""
-    if len(index) > EXHAUSTIVE_LIMIT:
+    f = len(index)
+    if f == 0:
+        raise ValueError("cannot perturb a text with no words")
+    if f > EXHAUSTIVE_LIMIT:
         raise LimeSettingError(
-            f"exhaustive: refusing to enumerate 2^{len(index)} masks for "
-            f"{len(index)} distinct words (at most {EXHAUSTIVE_LIMIT})"
+            f"exhaustive: refusing to enumerate 2^{f} masks for "
+            f"{f} distinct words (at most {EXHAUSTIVE_LIMIT})"
         )
-    return _perturbations(
-        index,
-        lambda f: np.array(list(itertools.product((1, 0), repeat=f)), dtype=np.int8),
-    )
+    masks = np.array(list(itertools.product((1, 0), repeat=f)), dtype=np.int8)
+    return [Perturbation(mask) for mask in masks]
 
 
 def kernel_weight(distance: np.ndarray, width: float) -> np.ndarray:
@@ -161,23 +151,16 @@ def kernel_weight(distance: np.ndarray, width: float) -> np.ndarray:
     return np.exp(-(distance**2) / width**2)
 
 
-def _weighted_ridge(x, y, weights, alpha):
-    """Centered weighted ridge with unpenalized intercept."""
-    w_sum = weights.sum()
-    x_mean = (weights[:, None] * x).sum(axis=0) / w_sum
-    y_mean = float((weights * y).sum() / w_sum)
-    xc = x - x_mean
-    yc = y - y_mean
-    a = xc.T @ (xc * weights[:, None]) + alpha * np.eye(x.shape[1])
-    b = xc.T @ (weights * yc)
+def _weighted_ridge(xc, yc, weights, alpha):
+    """Ridge coefficients of weighted-centred targets on weighted-centred columns;
+    the intercept, unpenalized, is left to the caller's means."""
+    a = xc.T @ (xc * weights[:, None]) + alpha * np.eye(xc.shape[1])
     try:
-        beta = np.linalg.solve(a, b)
+        return np.linalg.solve(a, xc.T @ (weights * yc))
     except np.linalg.LinAlgError as exc:
         raise SingularFitError(
             "weighted ridge system is singular; set ridge_alpha > 0"
         ) from exc
-    intercept = y_mean - float(x_mean @ beta)
-    return beta, intercept
 
 
 def fit_local_model(
@@ -190,27 +173,35 @@ def fit_local_model(
     """Fit on all features, keep the k largest |coefficient|, refit on those.
 
     Returns (selected feature indices, coefficients, intercept, weighted r2),
-    with indices and coefficients ordered by descending |coefficient|.
+    with indices and coefficients ordered by descending |coefficient|. Both
+    fits, the intercept and r2 share one weighted mean per column and one of
+    the targets: a column subset's weighted means are the same columns'
+    entries of the full mean.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(masks, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     w = np.asarray(sample_weights, dtype=np.float64)
+    w_sum = w.sum()
+    x_mean = (w[:, None] * x).sum(axis=0) / w_sum
+    y_mean = float((w * y).sum() / w_sum)
+    xc = x - x_mean
+    yc = y - y_mean
 
-    beta_full, _ = _weighted_ridge(x, y, w, alpha)
+    beta_full = _weighted_ridge(xc, yc, w, alpha)
     keep = np.argsort(-np.abs(beta_full), kind="stable")[: min(k, x.shape[1])]
-    beta, intercept = _weighted_ridge(x[:, keep], y, w, alpha)
+    xc_keep = xc[:, keep]
+    beta = _weighted_ridge(xc_keep, yc, w, alpha)
+    intercept = y_mean - float(x_mean[keep] @ beta)
 
     order = np.argsort(-np.abs(beta), kind="stable")
     selected = [int(keep[i]) for i in order]
     coefficients = beta[order]
 
-    y_hat = intercept + x[:, keep] @ beta
-    w_sum = w.sum()
-    y_mean = float((w * y).sum() / w_sum)
-    rss = float((w * (y - y_hat) ** 2).sum())
-    tss = float((w * (y - y_mean) ** 2).sum())
+    # y - (intercept + x[:, keep] @ beta) is yc - xc_keep @ beta
+    rss = float((w * (yc - xc_keep @ beta) ** 2).sum())
+    tss = float((w * yc**2).sum())
     if tss <= 1e-30:
         r2 = 1.0 if rss <= 1e-30 else 0.0
     else:

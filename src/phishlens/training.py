@@ -228,7 +228,9 @@ def train(
     A step whose loss or gradient is not finite raises NonFiniteTrainingError
     naming its epoch and batch, before the update is applied; so does an
     epoch whose held-out loss is not finite, naming the epoch, before
-    on_epoch sees its stats.
+    on_epoch sees its stats. With nothing held out, the epoch's last batch,
+    scored by the eval pass after its update, stands in for the held-out
+    partition in that check.
     """
     if len(corpus.train) == 0:
         raise ValueError("cannot train on an empty train partition")
@@ -260,12 +262,14 @@ def train(
             # one gradient set, not two, while the next backward runs
             del out, grads
 
+        # with nothing held out, the eval pass over the epoch's last batch,
+        # after its update, still catches a model whose outputs are not finite
+        scored = (test_seqs, test_labels) if test_seqs else (batch, labels)
+        eval_loss, eval_preds = _evaluate_encoded(params, *scored, cfg.eval_batch_size)
+        if not math.isfinite(eval_loss):
+            what = "held-out loss" if test_seqs else "loss of the last batch after its update"
+            raise NonFiniteTrainingError(f"epoch {epoch}: {what} is {eval_loss}")
         if test_seqs:
-            eval_loss, eval_preds = _evaluate_encoded(
-                params, test_seqs, test_labels, cfg.eval_batch_size
-            )
-            if not math.isfinite(eval_loss):
-                raise NonFiniteTrainingError(f"epoch {epoch}: held-out loss is {eval_loss}")
             eval_acc = float(np.mean(np.array(eval_preds) == test_labels))
         else:
             eval_loss, eval_acc = None, None

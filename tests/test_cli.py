@@ -942,6 +942,28 @@ def test_diverging_training_is_usage_error(tmp_path, capsys, epochs):
     assert [json.loads(line)["type"] for line in lines] == ["header"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_with_nothing_held_out_is_usage_error(tmp_path, capsys):
+    # one full-batch step at this rate leaves weights whose outputs overflow;
+    # with no held-out partition, the last batch scored after the step shows it
+    config = json.loads(Path(CONFIG).read_text())
+    config["train"].update(learning_rate=1e300, epochs=1, train_batch_size=64)
+    config["train_fraction"] = 1.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    args = [
+        "train", "--corpus", CORPUS, "--vocab", VOCAB, "--config", str(cfg_path),
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(args) == EXIT_USAGE
+    assert "error: epoch 0: loss of the last batch after its update is nan" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "model.phl").exists()
+    lines = (tmp_path / "train_stats.jsonl").read_text().splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["header"]
+
+
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["evaluate", "explain", "compare"])
 def test_checkpoint_with_non_finite_outputs_is_usage_error(trained, tmp_path, capsys, command):

@@ -464,6 +464,25 @@ def test_dropout_active_only_in_train_mode(toy_config):
     assert not np.array_equal(train_a.logits, train_b.logits)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_keep_factor_is_zero_or_the_inverse_keep_rate(dtype):
+    rate = 0.1
+    drawn = np.random.default_rng(4).random((2, 5, 6)) >= rate  # (B, T, n) keep mask
+    mask = np.ones((2, 5))
+    mask[1, 3:] = 0.0  # padding: its draws are not packed
+    packing = model_mod._Packing(mask)
+    factor = model_mod._dropout_keep(dtype, rate, drawn, packing)
+    kept = drawn[mask != 0]  # the real positions, in packed order
+    assert factor.dtype == dtype and factor.shape == kept.shape
+    np.testing.assert_array_equal(factor != 0, kept)
+    assert (factor[kept] == dtype(1) / dtype(1 - rate)).all()
+    assert (factor[~kept] == 0).all()
+    queries = np.array([4, 0, 6])
+    np.testing.assert_array_equal(
+        model_mod._dropout_keep(dtype, rate, drawn, packing, queries), factor[queries]
+    )
+
+
 def test_dropout_without_rng_is_rejected(toy_config):
     params = init_parameters(dataclasses.replace(toy_config, dropout_rate=0.5), seed=3)
     with pytest.raises(ValueError, match="rng"):

@@ -9,7 +9,8 @@ import pytest
 from conftest import overflowing_head, synthetic_corpus
 from phishlens import training
 from phishlens.corpus import SplitCorpus, split
-from phishlens.model import ModelConfig, init_parameters
+from phishlens.model import ModelConfig, forward, init_parameters
+from phishlens.tokenizer import encode
 from phishlens.training import (
     EpochStats,
     NonFiniteTrainingError,
@@ -255,6 +256,34 @@ def test_non_finite_held_out_loss_stops_training_before_on_epoch(vocab):
     assert seen == []
 
 
+def _nothing_held_out(parts):
+    return SplitCorpus(
+        train=parts.train, test=parts.test.__class__.from_records([]), train_fraction=1.0
+    )
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_non_finite_outputs_with_nothing_held_out_stop_training_before_on_epoch(vocab):
+    # the step's own loss is finite; only the last batch, scored after the
+    # update, shows that the outputs overflow
+    _, parts, cfg = _toy_setup(40)
+    cfg.learning_rate, cfg.train_batch_size, cfg.epochs = 1e300, 64, 2
+    seen = []
+    with pytest.raises(
+        NonFiniteTrainingError, match=r"^epoch 0: loss of the last batch after its update is nan$"
+    ):
+        train(_toy_model(vocab), _nothing_held_out(parts), vocab, cfg, on_epoch=seen.append)
+    assert seen == []
+
+
+def test_nothing_held_out_leaves_the_epoch_stats_without_eval(vocab):
+    _, parts, cfg = _toy_setup(40)
+    cfg.epochs = 2
+    _, stats = train(_toy_model(vocab), _nothing_held_out(parts), vocab, cfg)
+    assert [(s.mean_eval_loss, s.eval_accuracy) for s in stats] == [(None, None)] * 2
+    assert all(math.isfinite(s.mean_train_loss) for s in stats)
+
+
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
 def test_evaluate_refuses_a_non_finite_loss(vocab):
     params = overflowing_head(_toy_model(vocab))
@@ -312,6 +341,19 @@ def test_evaluate_prediction_counts_for_odd_batch_sizes(vocab):
         loss, preds = evaluate(params, corpus, vocab, cfg)
         assert len(preds) == 23
         assert math.isfinite(loss)
+
+
+def test_evaluate_loss_is_the_mean_of_per_row_cross_entropies(vocab):
+    corpus = synthetic_corpus(23, seed=9)
+    params = _toy_model(vocab)
+    # eval batches of 7, 7, 7 and 2 rows
+    loss, _ = evaluate(params, corpus, vocab, TrainConfig(eval_batch_size=7, max_len=16))
+    seqs = [encode(r.body, vocab, 16) for r in corpus.records]
+    labels = np.array([r.label for r in corpus.records])
+    logits = forward(params, seqs).logits
+    log_probs = logits - logits.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    assert abs(loss + log_probs[np.arange(len(seqs)), labels].mean()) <= 1e-12
 
 
 def test_evaluate_idempotent(vocab):
