@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +100,10 @@ def _read_json_object(path: str, what: str) -> dict:
 
 
 def _load_config_file(path: str | None) -> dict:
-    """The --config JSON; a file whose shape the commands cannot read is a usage error."""
-    if path is None:
-        return {}
-    cfg = _read_json_object(path, "config")
+    """The --config JSON (none: {}), with train_fraction and dtype set to
+    their defaults if absent; a file whose shape the commands cannot read is
+    a usage error."""
+    cfg = {} if path is None else _read_json_object(path, "config")
     sections = ("model", "train", "lime", "ig", "paths")
     _refuse_unknown_keys(cfg, (*sections, "train_fraction", "dtype"), "config")
     for name in sections:
@@ -120,9 +121,12 @@ def _load_config_file(path: str | None) -> dict:
     for kind, value in paths.items():
         if not isinstance(value, str):
             raise UsageError(f"config section 'paths': {kind} must be a string, got {value!r}")
-    fraction = cfg.get("train_fraction", 0.7)
+    fraction = cfg.setdefault("train_fraction", 0.7)
     if not _is_fraction(fraction):
         raise UsageError(f"train_fraction must be a number in (0, 1], got {fraction!r}")
+    dtype = cfg.setdefault("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise UsageError(f"dtype must be float32 or float64, got {dtype}")
     return cfg
 
 
@@ -145,48 +149,33 @@ def _from_section(cls, config: dict, name: str, defaults=None, **overrides):
         raise UsageError(f"config section '{name}': {exc}") from exc
 
 
-def _model_config(config: dict, vocab: Vocabulary) -> ModelConfig:
-    """The paper-scale preset, with any key of the model section overriding it."""
-    model_cfg = _from_section(
-        ModelConfig, config, "model", dataclasses.asdict(ModelConfig.paper_scale(vocab.size))
+def _train_config(config: dict, model_cfg: ModelConfig, **overrides) -> TrainConfig:
+    """The train section, its max_len defaulting to the model's max_positions,
+    which it may not exceed."""
+    train_cfg = _from_section(
+        TrainConfig, config, "train", {"max_len": model_cfg.max_positions}, **overrides
     )
-    _check_num_classes(model_cfg, "config section 'model'")
-    return model_cfg
+    if train_cfg.max_len > model_cfg.max_positions:
+        raise UsageError(
+            f"train.max_len {train_cfg.max_len} exceeds the model's max_positions "
+            f"{model_cfg.max_positions}"
+        )
+    return train_cfg
 
 
-def _check_num_classes(model_cfg: ModelConfig, source: str) -> None:
-    """The corpus has the classes of LABEL_NAMES, so a model needs as many."""
+def _check_model(model_cfg: ModelConfig, vocab: Vocabulary, source: str) -> None:
+    """A model needs a class for each corpus label (LABEL_NAMES) and a token
+    embedding for each token of the vocabulary."""
     if model_cfg.num_classes != len(LABEL_NAMES):
         raise UsageError(
             f"{source}: num_classes must be {len(LABEL_NAMES)} "
             f"({' and '.join(LABEL_NAMES)}), got {model_cfg.num_classes}"
         )
-
-
-def _max_len(config: dict, model_cfg: ModelConfig) -> int:
-    """train.max_len from the config, else the model's max_positions, checked by TrainConfig."""
-    max_len = config.get("train", {}).get("max_len", model_cfg.max_positions)
-    max_len = _from_section(TrainConfig, {}, "train", {"max_len": max_len}).max_len
-    if max_len > model_cfg.max_positions:
-        raise UsageError(
-            f"train.max_len {max_len} exceeds the model's max_positions "
-            f"{model_cfg.max_positions}"
-        )
-    return max_len
-
-
-def _check_vocab_size(vocab: Vocabulary, model_cfg: ModelConfig) -> None:
     if vocab.size != model_cfg.vocab_size:
         raise UsageError(
             f"vocabulary has {vocab.size} tokens but the model expects "
             f"vocab_size {model_cfg.vocab_size}"
         )
-
-
-def _train_config(config: dict, model_cfg: ModelConfig, **overrides) -> TrainConfig:
-    return _from_section(
-        TrainConfig, config, "train", max_len=_max_len(config, model_cfg), **overrides
-    )
 
 
 def _load_model(args: argparse.Namespace):
@@ -195,12 +184,11 @@ def _load_model(args: argparse.Namespace):
     vocab_path, checkpoint = _require(args, "vocab"), _require(args, "checkpoint")
     vocab = load_vocabulary(vocab_path)
     params, record = load_checkpoint(checkpoint)
-    _check_num_classes(params.config, checkpoint)
+    # the size check is all that a checkpoint without a record allows
+    _check_model(params.config, vocab, checkpoint)
     for name, tensor in params.tensors.items():
         if not np.isfinite(tensor).all():
             raise UsageError(f"{checkpoint}: tensor {name} holds a non-finite value")
-    # the size check is all that a checkpoint without a record allows
-    _check_vocab_size(vocab, params.config)
     recorded = record.get("vocab_sha256")
     if recorded is not None and _sha256(vocab_path) != recorded:
         raise UsageError(
@@ -208,13 +196,6 @@ def _load_model(args: argparse.Namespace):
             "(sha256 differs)"
         )
     return vocab, params, record
-
-
-def _dtype(config: dict):
-    name = config.get("dtype", "float64")
-    if name not in ("float32", "float64"):
-        raise UsageError(f"dtype must be float32 or float64, got {name}")
-    return np.float32 if name == "float32" else np.float64
 
 
 def _prepare_partitions(corpus_path: str, seed: int, fraction: float, balance: str):
@@ -296,11 +277,7 @@ def _recorded_split(record: dict, corpus_path: str, checkpoint: str):
 def cmd_train(args: argparse.Namespace, config: dict) -> int:
     vocab_path, corpus_path = _require(args, "vocab"), _require(args, "corpus")
     vocab = load_vocabulary(vocab_path)
-    fraction = config.get("train_fraction", 0.7)
-    balance = (
-        "before_split" if args.balance
-        else "after_split" if args.balance_after_split else "none"
-    )
+    fraction = config["train_fraction"]
     # evaluate rebuilds the test partition from this record
     record = {
         "vocab_sha256": _sha256(vocab_path),
@@ -308,14 +285,16 @@ def cmd_train(args: argparse.Namespace, config: dict) -> int:
             "corpus_sha256": _sha256(corpus_path),
             "seed": args.seed,
             "train_fraction": fraction,
-            "balance": balance,
+            "balance": args.balance,
         },
     }
-    loaded, balanced, parts = _prepare_partitions(corpus_path, args.seed, fraction, balance)
-    model_cfg = _model_config(config, vocab)
-    _check_vocab_size(vocab, model_cfg)
+    loaded, balanced, parts = _prepare_partitions(corpus_path, args.seed, fraction, args.balance)
+    model_cfg = _from_section(
+        ModelConfig, config, "model", dataclasses.asdict(ModelConfig.paper_scale(vocab.size))
+    )
+    _check_model(model_cfg, vocab, "config section 'model'")
     train_cfg = _train_config(config, model_cfg, shuffle_seed=args.seed)
-    params = init_parameters(model_cfg, seed=args.seed, dtype=_dtype(config))
+    params = init_parameters(model_cfg, seed=args.seed, dtype=config["dtype"])
 
     out_dir = _out_dir(args)
     summary = {
@@ -432,7 +411,7 @@ def _resolve_text(args: argparse.Namespace) -> str:
 
 def _explain_both(args: argparse.Namespace, config: dict):
     vocab, params, _ = _load_model(args)
-    max_len = _max_len(config, params.config)
+    max_len = _train_config(config, params.config).max_len
     text = _resolve_text(args)
     # the config's lime.seed beats --seed; class names are LimeConfig's default,
     # the corpus labels
@@ -513,9 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "train":
             p.add_argument("--checkpoint")
         if name == "train":
-            balance = p.add_mutually_exclusive_group()
-            balance.add_argument("--balance", action="store_true")
-            balance.add_argument("--balance-after-split", action="store_true")
+            balance = p.add_mutually_exclusive_group()  # one of BALANCE_MODES
+            balance.add_argument("--balance", action="store_const", const="before_split")
+            balance.add_argument(
+                "--balance-after-split", dest="balance", action="store_const",
+                const="after_split",
+            )
+            p.set_defaults(balance="none")
         if name == "evaluate":
             p.add_argument("--predictions")
         if name in ("explain", "compare"):
@@ -533,6 +516,20 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
         return exc.code
+    # numpy's warnings about values that a check then refuses (overflow in a
+    # diverging model) would only precede the error line that names the
+    # fault, so exit 2 drops them; any other exit shows them once the command
+    # returns. The log is the warnings module's, so it holds the shard
+    # threads' too.
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run_command(args)
+    if code != EXIT_USAGE:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
+
+
+def _run_command(args: argparse.Namespace) -> int:
     try:
         _require_file("config", args.config)
         config = _load_config_file(args.config)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -1051,3 +1052,70 @@ def test_out_dir_that_is_a_file_is_usage_error(trained, tmp_path, capsys, comman
         assert main(_command_args(command, trained, CONFIG, out_dir)) == EXIT_USAGE
         assert f"--out-dir is not a directory: {out_dir}" in capsys.readouterr().err
     assert occupied.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def _diverging_args(command, trained, tmp_path):
+    """A run of `command` that exits 2 on a non-finite value: train at a rate
+    whose first step overflows the next pass, or inference on a checkpoint
+    whose logits overflow."""
+    if command == "train":
+        config = json.loads(Path(CONFIG).read_text())
+        config["train"].update(learning_rate=1e300, epochs=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        return _command_args("train", None, str(cfg_path), tmp_path / "out")
+    params, record = load_checkpoint(str(trained / "model.phl"))
+    save_checkpoint(overflowing_head(params), str(tmp_path / "model.phl"), record)
+    return _inference_args(command, tmp_path, VOCAB, CONFIG, tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "explain", "compare"])
+def test_non_finite_exit_prints_only_its_error_line(trained, tmp_path, capsys, set_shards, command):
+    set_shards(2)  # numpy warns in the shard threads too
+    args = _diverging_args(command, trained, tmp_path)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(args)
+    assert code == EXIT_USAGE
+    assert [f"{w.category.__name__}: {w.message}" for w in seen] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_warnings_of_a_run_that_exits_0_are_shown(trained, tmp_path, monkeypatch):
+    rows = cli.comparison_rows
+
+    def warning_rows(*args):
+        warnings.warn("overflow encountered in matmul", RuntimeWarning)
+        return rows(*args)
+
+    monkeypatch.setattr(cli, "comparison_rows", warning_rows)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(_command_args("compare", trained, CONFIG, tmp_path))
+    assert code == EXIT_OK
+    assert [(w.category, str(w.message)) for w in seen] == [
+        (RuntimeWarning, "overflow encountered in matmul")
+    ]
+    assert seen[0].filename == __file__
+
+
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        ({"train": {"learning_rate": -1}}, "config section 'train': learning_rate must"),
+        ({"dtype": "float16"}, "dtype must be float32 or float64, got float16"),
+    ],
+)
+@pytest.mark.parametrize("command", ["explain", "compare"])
+def test_explain_refuses_what_train_refuses(trained, tmp_path, capsys, command, patch, message):
+    config = json.loads(Path(CONFIG).read_text())
+    for key, value in patch.items():
+        config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    for run in ("train", command):
+        args = _command_args(run, trained, str(cfg_path), tmp_path / run)
+        assert main(args) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+    assert not list((tmp_path / command).glob("*"))  # no explanation written
