@@ -456,22 +456,69 @@ class _Packing:
         return out.reshape(*self.shape, *rows.shape[1:])
 
 
-def _dropout_masks(cfg: ModelConfig, shape: tuple[int, int], rng) -> list[np.ndarray] | None:
-    """The keep masks of a train-mode pass over a (B, T) batch: one boolean
-    (B, T, D) array per dropout site, in the order the pass reaches them
-    (the embeddings, then each layer's attention output and feed-forward
-    output); None when the pass drops nothing. Drawn over the whole batch,
-    so the rng stream and the mask at each real position do not depend on
-    where the padding is, on which rows a layer computes, or on how the
-    batch is sharded."""
+# Bit generators that can skip any number of 64-bit draws at once; each
+# float64 random() is one such draw, so a piece can draw its own rows of
+# every dropout mask straight from the stream.
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _dropout_draws(cfg: ModelConfig, shape: tuple[int, int], rng):
+    """draw(rows): the keep masks that the rows `rows` (a slice) of a
+    train-mode pass over a (B, T) batch read, one boolean (rows, T, D) array
+    per dropout site, in the order the pass reaches them (the embeddings,
+    then each layer's attention output and feed-forward output); None when
+    the pass drops nothing.
+
+    The masks are those of `rng.random((B, T, D)) >= rate`, site after
+    site: site s's row b is drawn (s·B + b)·T·D draws into rng's stream, so
+    they do not depend on where the padding is, on which rows a layer
+    computes, or on how the batch is sharded or cut into pieces, and no
+    full-batch mask is built. rng skips all of those draws here, at once,
+    and ends where drawing them would leave it. Each draw(rows) call copies
+    the stream's state once into a bit generator of its own, so calls may
+    run on any thread. rng must be a PCG64 or PCG64DXSM generator; another
+    raises ValueError naming its bit generator."""
     if cfg.dropout_rate == 0.0:
         return None
     if rng is None:
         raise ValueError("a train-mode pass with dropout needs an rng")
-    return [
-        rng.random((*shape, cfg.hidden_dim)) >= cfg.dropout_rate
-        for _ in range(1 + 2 * cfg.num_layers)
-    ]
+    bits = getattr(rng, "bit_generator", rng)
+    if not isinstance(bits, _ADVANCEABLE):
+        raise ValueError(
+            "dropout needs a generator whose stream can skip draws, PCG64 or "
+            f"PCG64DXSM (np.random.default_rng makes PCG64), got {type(bits).__name__}"
+        )
+    start = bits.state
+    b, t = shape
+    sites, row_draws = 1 + 2 * cfg.num_layers, t * cfg.hidden_dim
+    bits.advance(sites * b * row_draws)
+    end = bits.state  # advance() empties the 32-bit buffer, which no double draw reads
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bits.state = end
+
+    def draw(rows: slice) -> list[np.ndarray]:
+        piece_bits = type(bits)(0)  # a fixed seed reads no entropy; the state is replaced
+        piece_bits.state = start
+        piece_bits.advance(rows.start * row_draws)
+        stream = np.random.Generator(piece_bits)
+        uniform = np.empty((rows.stop - rows.start, t, cfg.hidden_dim))
+        masks = []
+        for site in range(sites):
+            if site:
+                piece_bits.advance((b - len(uniform)) * row_draws)
+            stream.random(out=uniform)
+            masks.append(uniform >= cfg.dropout_rate)
+        return masks
+
+    return draw
+
+
+def _dropout_masks(cfg: ModelConfig, shape: tuple[int, int], rng) -> list[np.ndarray] | None:
+    """The keep masks of a train-mode pass over the whole (B, T) batch, one
+    boolean (B, T, D) array per dropout site (see _dropout_draws); None when
+    the pass drops nothing."""
+    draw = _dropout_draws(cfg, shape, rng)
+    return None if draw is None else draw(slice(0, shape[0]))
 
 
 def _dropout_keep(dtype, rate, drawn, packing: _Packing, queries=None) -> np.ndarray:
@@ -569,12 +616,29 @@ def _pool(workers: int) -> futures.ThreadPoolExecutor:
     return futures.ThreadPoolExecutor(workers, thread_name_prefix="phishlens-shard")
 
 
-def _shard_bounds(lengths: np.ndarray, shards: int) -> list[int]:
-    """Row bounds [0, ..., B] of `shards` contiguous shards of at least one
-    row each, every cut placed where the real tokens before it come nearest
-    to its share of the batch's."""
-    cum = np.cumsum(lengths)
-    rows = len(lengths)
+def _spread(tasks: Sequence[Callable[[], object]]) -> list:
+    """The results of `tasks`, in order: the first runs on the calling
+    thread and the others on a pool of CPUs - 1 threads. Every task ends
+    before the first error, in task order, is raised. One task runs alone,
+    with no pool. A task may call only private functions: perfbench's
+    tracer wraps the public ones, and its span stack is not thread-safe."""
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    pending = [_pool(_cpus() - 1).submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        futures.wait(pending)
+    return [first, *(f.result() for f in pending)]
+
+
+def _shard_bounds(weights: np.ndarray, shards: int) -> list[int]:
+    """Bounds [0, ..., n] of `shards` contiguous runs of the n items that
+    `weights` weighs (a batch's rows by real tokens, AdamW's blocks by
+    elements), at least one item each, every cut placed where the weight
+    before it comes nearest to its share of the whole."""
+    cum = np.cumsum(weights)
+    rows = len(weights)
     bounds = [0]
     for k in range(1, shards):
         target = cum[-1] * k / shards
@@ -591,16 +655,13 @@ def _in_shards(mask: np.ndarray, config: ModelConfig, dtype, run: Callable[[list
     results in shard order, `pieces` being the shard's rows cut by _pieces
     under the cache that a pass of `config` in `dtype` keeps per row. The
     batch splits into one shard per CPU, at most one per row and one per
-    _MIN_SHARD_TOKENS real tokens, balanced by real tokens. Shard 0 runs on
-    the calling thread and the others on a pool of CPUs - 1 threads, while
-    BLAS is held at one thread, so each shard runs whole on its own core.
+    _MIN_SHARD_TOKENS real tokens, balanced by real tokens. The shards run
+    through _spread (so `run` may call only private functions) while BLAS
+    is held at one thread, so each shard runs whole on its own core.
     With one CPU, a short batch, or a BLAS whose thread count cannot be
     set, the batch is one shard, run on the calling thread. One row is one
     shard of one piece, whatever it costs, so it is run before any row is
-    costed.
-
-    `run` may call only private functions: perfbench's tracer wraps the
-    public ones, and its span stack is not thread-safe."""
+    costed."""
     rows = len(mask)
     if rows == 1:
         return [run([slice(0, 1)])]
@@ -613,12 +674,7 @@ def _in_shards(mask: np.ndarray, config: ModelConfig, dtype, run: Callable[[list
     bounds = _shard_bounds(lengths, shards)
     pieces = [_pieces(row_bytes, slice(a, b)) for a, b in itertools.pairwise(bounds)]
     with _single_threaded_blas():
-        pending = [_pool(cpus - 1).submit(run, p) for p in pieces[1:]]
-        try:
-            first = run(pieces[0])
-        finally:
-            futures.wait(pending)
-    return [first, *(f.result() for f in pending)]
+        return _spread([functools.partial(run, p) for p in pieces])
 
 
 # Cache bytes, as counted by _cache_bytes_per_row, that the rows of one
@@ -1036,16 +1092,18 @@ def backward(
     The pass runs in row shards (_in_shards), and each shard runs its rows
     in pieces whose caches fit _PASS_CACHE_BYTES (_pieces, sized by
     _cache_bytes_per_row at each row's real length), one after another,
-    each with its rows of the batch's dropout masks. Each piece adds its
-    gradients, already divided by the whole batch's size, into its shard's
-    one gradient set, and the shards' sets are summed in shard order, so
-    the order of the sums depends only on the batch and the CPU count. The
-    cache is consumed here: the returned output has `cache=None`.
+    each drawing its own rows of the batch's dropout masks
+    (_dropout_draws). Each piece adds its gradients, already divided by the
+    whole batch's size, into its shard's one gradient set, and the shards'
+    sets are summed in shard order, so the order of the sums depends only
+    on the batch and the CPU count. The cache is consumed here: the
+    returned output has `cache=None`. With dropout, `rng` must be a PCG64
+    or PCG64DXSM generator (ValueError otherwise).
     """
     cfg = params.config
     ids, mask = batch_arrays(batch)
     labels_arr = _label_array(labels, len(batch), cfg.num_classes)
-    keeps = _dropout_masks(cfg, mask.shape, rng)
+    draw_keeps = _dropout_draws(cfg, mask.shape, rng)
 
     def shard(pieces: list[slice]):
         """(outputs, gradient set, (packed ids, embedding gradient) per
@@ -1053,7 +1111,7 @@ def backward(
         outs, grads, embed_grads = [], {}, []
         for piece in pieces:
             cache: dict = {}
-            piece_keeps = None if keeps is None else [k[piece] for k in keeps]
+            piece_keeps = None if draw_keeps is None else draw_keeps(piece)
             out = _run_encoder(params, ids[piece], mask[piece], piece_keeps, cache)
             out.cache = None
             dlogits = out.probabilities.copy()
@@ -1067,15 +1125,15 @@ def backward(
         return outs, grads, embed_grads
 
     shards = _in_shards(mask, cfg, params.tensors["token_embedding"].dtype, shard)
-    outs, grads = [], {}
-    token_grad = np.zeros_like(params.tensors["token_embedding"])
+    outs, grads, embed_grads = [], {}, []
     while shards:  # each shard's gradients are dropped once added
-        shard_outs, shard_grads, embed_grads = shards.pop(0)
+        shard_outs, shard_grads, shard_embed_grads = shards.pop(0)
         outs += shard_outs
-        for packed_ids, d_embed in embed_grads:
-            np.add.at(token_grad, packed_ids, d_embed)
+        embed_grads += shard_embed_grads
         for name, g in shard_grads.items():
             _accumulate(grads, name, g)
+    token_grad = np.zeros_like(params.tensors["token_embedding"])
+    _add_rows(token_grad, *(np.concatenate(a) for a in zip(*embed_grads)))
     position_grad = np.zeros_like(params.tensors["position_embedding"])
     position_grad[: mask.shape[1]] = grads["position_embedding"]
     grads.update(token_embedding=token_grad, position_embedding=position_grad)
@@ -1172,6 +1230,21 @@ def _backward_core(params, cache, dlogits, grads: GradientSet | None) -> np.ndar
     if "embed_keep" in cache:
         dx = dx * cache["embed_keep"]
     return dx
+
+
+def _add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """out[ids[i]] += rows[i] for every i in order, bit for bit as
+    np.add.at(out, ids, rows) adds them, in one fancy-indexed add per
+    occurrence rank: a stable sort by id gives each i its rank r among the
+    rows of its id, and the r-th rows of distinct ids are added together,
+    rank after rank, so each id's sum is formed in the order of `ids`."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    rank = np.arange(len(ids)) - np.repeat(first, np.diff(np.r_[first, len(ids)]))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    for at in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+        out[ids[at]] += rows[at]
 
 
 def _accumulate(grads: GradientSet, name: str, g: np.ndarray) -> None:

@@ -7,6 +7,8 @@ batch, and evaluates the held-out partition unshuffled after every epoch.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -14,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import model
 from .corpus import LabeledCorpus, SplitCorpus
 from .model import ModelParameters, backward, check_fields, cross_entropy_loss, forward
 from .tokenizer import TokenSequence, Vocabulary, encode
@@ -88,7 +91,8 @@ class EpochStats:
 # Elements per block of an AdamW update, whose 14-16 in-place passes over a
 # block and its two scratch blocks then stay in cache. On the desk model's
 # 5.3M float32 parameters (2 vCPUs, median of 30 steps) a step took 40-41 ms
-# with full-size temporaries and 24-29 ms in 64K blocks.
+# with full-size temporaries and 24-29 ms in 64K blocks. A step runs its
+# blocks in one group per CPU, at most one per _ADAMW_BLOCK elements.
 _ADAMW_BLOCK = 1 << 16
 
 
@@ -109,50 +113,65 @@ def adamw_step(
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         theta -= lr (m / bc1) / (sqrt(v / bc2) + eps)  [+ lr wd theta]
     with the same operations in the same order, so the results are
-    bit-identical to it; each tensor is walked in blocks of about
-    _ADAMW_BLOCK elements through two reused scratch blocks, so a step makes
-    no full-size temporary.
+    bit-identical to it. Each tensor is walked in blocks of whole rows of
+    about _ADAMW_BLOCK elements, so a step makes no full-size temporary,
+    and the blocks, in parameter order, are cut into contiguous groups of
+    about equal element counts, one per CPU and at most one per
+    _ADAMW_BLOCK elements, run through model._spread. The gradient set's
+    names and shapes are checked, and every block of every tensor and
+    moment is taken, before any tensor is written, so a rejected step
+    changes nothing.
     """
     if set(grads) != set(tensors):
         raise ValueError("gradient set does not cover the parameter tensors")
-    t = state.step + 1
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
-    lr, decay = cfg.learning_rate, cfg.learning_rate * cfg.weight_decay
     for name, theta in tensors.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ValueError(f"{name}: gradient shape {g.shape} != parameter {theta.shape}")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
+    blocks = []
+    for name, theta in tensors.items():
+        tensor_views = (theta, state.first_moment[name], state.second_moment[name], grads[name])
         decayed = cfg.weight_decay != 0.0 and _decayed(theta)
         # blocks of whole rows along the first axis, which are views of any layout
         rows = max(1, _ADAMW_BLOCK // max(1, math.prod(theta.shape[1:])))
-        block_shape = (min(rows, len(theta)), *theta.shape[1:])
-        s1, s2 = np.empty(block_shape, theta.dtype), np.empty(block_shape, theta.dtype)
         for start in range(0, len(theta), rows):
-            block = slice(start, start + rows)
-            mb, vb, gb, tb = m[block], v[block], g[block], theta[block]
-            a, b = s1[: len(tb)], s2[: len(tb)]
-            mb *= cfg.beta1
-            np.multiply(gb, 1.0 - cfg.beta1, out=a)
-            mb += a
-            vb *= cfg.beta2
-            np.multiply(gb, 1.0 - cfg.beta2, out=a)
-            a *= gb
-            vb += a
-            np.divide(vb, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += cfg.epsilon
-            np.divide(mb, bc1, out=b)
-            b *= lr
-            b /= a
-            if decayed:
-                np.multiply(tb, decay, out=a)
-                b += a
-            tb -= b
+            blocks.append((*(a[start : start + rows] for a in tensor_views), decayed))
+    sizes = np.array([block[0].size for block in blocks])
+    groups = max(1, min(model._cpus(), int(sizes.sum()) // _ADAMW_BLOCK, len(blocks)))
+    t = state.step + 1
+    model._spread([
+        functools.partial(_adamw_blocks, blocks[a:b], t, cfg)
+        for a, b in itertools.pairwise(model._shard_bounds(sizes, groups))
+    ])
     state.step = t
     return state
+
+
+def _adamw_blocks(blocks: list[tuple], t: int, cfg: TrainConfig) -> None:
+    """Step `t` of adamw_step on `blocks`, (theta, m, v, g, decayed) row
+    blocks, each through two scratch blocks of its own."""
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    lr, decay = cfg.learning_rate, cfg.learning_rate * cfg.weight_decay
+    for tb, mb, vb, gb, decayed in blocks:
+        a, b = np.empty(tb.shape, tb.dtype), np.empty(tb.shape, tb.dtype)
+        mb *= cfg.beta1
+        np.multiply(gb, 1.0 - cfg.beta1, out=a)
+        mb += a
+        vb *= cfg.beta2
+        np.multiply(gb, 1.0 - cfg.beta2, out=a)
+        a *= gb
+        vb += a
+        np.divide(vb, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.epsilon
+        np.divide(mb, bc1, out=b)
+        b *= lr
+        b /= a
+        if decayed:
+            np.multiply(tb, decay, out=a)
+            b += a
+        tb -= b
 
 
 def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, batch: int) -> None:

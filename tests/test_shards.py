@@ -305,3 +305,80 @@ def test_sharded_passes_keep_the_batch_error_messages(toy_params, set_shards):
         forward(toy_params, [first, empty])
     with pytest.raises(ValueError, match="at least one real token"):
         backward(toy_params, [first, empty], [1, 0])
+
+
+def _whole_batch_draws(cfg, shape, rng):
+    """The keep masks drawn as rng.random((B, T, D)) >= rate, site after
+    site, over the whole batch."""
+    return [
+        rng.random((*shape, cfg.hidden_dim)) >= cfg.dropout_rate
+        for _ in range(1 + 2 * cfg.num_layers)
+    ]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+def test_each_piece_draws_its_rows_of_the_whole_batch_masks(toy_config, bit_generator):
+    cfg = dataclasses.replace(toy_config, num_layers=2, dropout_rate=0.3)
+    shape = (7, 5)
+
+    def seeded():
+        rng = np.random.Generator(bit_generator(11))
+        rng.integers(0, 9, dtype=np.uint32)  # a buffered 32-bit half, which no double draw reads
+        return rng
+
+    rng, reference, again = seeded(), seeded(), seeded()
+    whole = _whole_batch_draws(cfg, shape, reference)
+    draw = model._dropout_draws(cfg, shape, rng)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    for rows in (slice(0, 7), slice(0, 1), slice(2, 5), slice(6, 7)):
+        masks = draw(rows)
+        assert len(masks) == len(whole)
+        for site, (got, want) in enumerate(zip(masks, whole)):
+            np.testing.assert_array_equal(got, want[rows], err_msg=f"site {site}")
+    for got, want in zip(model._dropout_masks(cfg, shape, again), whole, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert again.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_backward_consumes_the_whole_batch_draws_from_rng(
+    toy_config, set_shards, monkeypatch, shards
+):
+    # one row per piece: every piece draws from its own offset in the stream
+    params, batch = _params(toy_config, dropout_rate=0.1), _batch(RAGGED)
+    monkeypatch.setattr(model, "_PASS_CACHE_BYTES", 1)
+    set_shards(shards)
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    backward(params, batch, [0] * len(batch), rng=rng)
+    _whole_batch_draws(params.config, model.batch_arrays(batch)[1].shape, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_dropout_rejects_a_generator_that_cannot_skip_draws(toy_config):
+    params, batch = _params(toy_config, dropout_rate=0.1), _batch(RAGGED)
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="PCG64 or PCG64DXSM.*got MT19937"):
+        backward(params, batch, [0] * len(batch), rng=rng)
+    with pytest.raises(ValueError, match="got MT19937"):
+        model._dropout_masks(params.config, (2, 3), rng)
+    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()  # nothing drawn
+    # a pass that drops nothing draws nothing, so it takes any generator
+    backward(_params(toy_config), batch, [0] * len(batch), rng=rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_token_rows_add_as_np_add_at_does(dtype):
+    # four pieces' packed ids, concatenated as backward does, with ids
+    # repeated within a piece and across pieces, id 7 dozens of times; rows
+    # of mixed sign and scale, so the order of each id's sum shows in its bits
+    rng = np.random.default_rng(2)
+    pieces = [rng.choice([3, 7, 7, 7, 12, 40, 41], size=n) for n in (30, 1, 25)]
+    ids = np.concatenate([*pieces, np.full(12, 7)])
+    scales = 10.0 ** rng.integers(-6, 6, (len(ids), 1))
+    rows = (rng.normal(size=(len(ids), 6)) * scales).astype(dtype)
+    expected = np.zeros((50, 6), dtype)
+    np.add.at(expected, ids, rows)
+    got = np.zeros((50, 6), dtype)
+    model._add_rows(got, ids, rows)
+    assert (ids == 7).sum() > 20
+    np.testing.assert_array_equal(got, expected)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import overflowing_head, synthetic_corpus
-from phishlens import training
+from phishlens import model, training
 from phishlens.corpus import SplitCorpus, split
 from phishlens.model import ModelConfig, forward, init_parameters
 from phishlens.tokenizer import encode
@@ -184,6 +184,51 @@ def test_adamw_is_bit_identical_to_the_textbook_update(dtype):
         np.testing.assert_array_equal(tensors[name], expected[name], err_msg=name)
         np.testing.assert_array_equal(state.first_moment[name], m[name], err_msg=name)
         np.testing.assert_array_equal(state.second_moment[name], v[name], err_msg=name)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_adamw_groups_on_the_pool_match_a_one_thread_loop(monkeypatch, cpus):
+    # 64-element blocks cut these tensors into 29 blocks (the one-row
+    # tensor's is a whole 200-element row), run in one group per CPU
+    monkeypatch.setattr(training, "_ADAMW_BLOCK", 64)
+    monkeypatch.setattr(model, "_cpus", lambda: cpus)
+    groups = []
+    spread = model._spread
+    monkeypatch.setattr(model, "_spread", lambda tasks: groups.append(len(tasks)) or spread(tasks))
+    rng = np.random.default_rng(8)
+    shapes = {"emb": (40, 16), "w": (16, 48), "b": (48,), "one": (1, 200), "s": (3,)}
+    tensors = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+    expected = {k: t.copy() for k, t in tensors.items()}
+    m, v = ({k: np.zeros_like(t) for k, t in tensors.items()} for _ in range(2))
+    state = OptimizerState.zeros_like(tensors)
+    cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.1)
+    for step in range(1, 4):
+        grads = {k: rng.normal(scale=0.1, size=s).astype(np.float32) for k, s in shapes.items()}
+        adamw_step(tensors, grads, state, cfg)
+        _textbook_adamw(expected, grads, m, v, step, cfg)
+    assert groups == [cpus] * 3 and state.step == 3
+    for name in shapes:
+        np.testing.assert_array_equal(tensors[name], expected[name], err_msg=name)
+        np.testing.assert_array_equal(state.first_moment[name], m[name], err_msg=name)
+        np.testing.assert_array_equal(state.second_moment[name], v[name], err_msg=name)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adamw_rejects_a_bad_gradient_before_writing_any_tensor(monkeypatch, cpus):
+    # the mismatched gradient is the last tensor's, in a group of its own
+    # when there are two
+    monkeypatch.setattr(training, "_ADAMW_BLOCK", 3)
+    monkeypatch.setattr(model, "_cpus", lambda: cpus)
+    tensors = {"a": np.ones((2, 2)), "b": np.ones(3)}
+    state = OptimizerState.zeros_like(tensors)
+    grads = {"a": np.full((2, 2), 0.5), "b": np.zeros(4)}
+    with pytest.raises(ValueError, match=r"b: gradient shape \(4,\)"):
+        adamw_step(tensors, grads, state, CFG)
+    assert state.step == 0
+    for name in tensors:
+        np.testing.assert_array_equal(tensors[name], 1.0, err_msg=name)
+        np.testing.assert_array_equal(state.first_moment[name], 0.0, err_msg=name)
+        np.testing.assert_array_equal(state.second_moment[name], 0.0, err_msg=name)
 
 
 def _toy_setup(n_records=200, seed=0, layers=2):
